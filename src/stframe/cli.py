@@ -110,9 +110,12 @@ def _load_tensor(args):
         return R, meta
     if args.input is None:
         raise ValidationError("input", "either --input FILE or --gallery NAME required")
-    with open(args.input, "r", encoding="utf-8") as fh:
-        spec = load_spec(fh.read())
-    R, meta = realize(spec)
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError("input", f"cannot read {args.input}: {e}") from e
+    R, meta = realize(load_spec(text))
     if args.volume is not None:
         meta = dict(meta)
         meta["volume"] = args.volume
@@ -285,6 +288,8 @@ def _cmd_invariants(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.count < 1:
+        raise ValidationError("count", "must be at least 1")
     worst = 0.0
     worst_seed = None
     for i in range(args.count):
@@ -438,7 +443,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValidationError, UnknownGalleryName, FileNotFoundError) as e:
+    except (ParseError, ValidationError, UnknownGalleryName, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except SearchFailed as e:

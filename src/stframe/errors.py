@@ -44,7 +44,7 @@ class UnknownGalleryName(StframeError):
 
 
 class NoConvergence(StframeError):
-    """Jacobi eigensolver did not converge (non-symmetric or non-finite input)."""
+    """Eigensolver rejected its input (non-symmetric or non-finite) or did not converge."""
 
 
 class DegenerateFit(StframeError):

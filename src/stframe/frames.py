@@ -2,17 +2,21 @@
 generalized Singer-Thorpe basis search.
 
 The search follows the constructive existence proof: canonicalize the Ricci
-eigenbasis by multiplicity pattern, then remove the remaining mixed curvature
-components with one-parameter rotations inside degenerate eigenspaces (each a
-trigonometric-polynomial maximization solved by exact interpolation).  A
-penalty minimizer over SO(4) serves as fallback for the fully degenerate
-pattern and for any constructive path that stalls.
+eigenbasis (LAPACK eigh) by multiplicity pattern, then remove the remaining
+mixed curvature components with one-parameter rotations inside degenerate
+eigenspaces.  Each rotation angle maximizes a trigonometric polynomial fitted
+exactly to a few samples; its stationary points are the roots of one quartic.
+A penalty minimizer over SO(4) serves as fallback for the fully degenerate
+pattern and for any constructive path that stalls.  st_components rotates a
+tensor into a found frame and checks its penalty on that one array; the sign
+cases and the ST vectors are read from it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -41,22 +45,10 @@ MIXED_TRIPLES = tuple(
 #: the three opposite-plane pairs ((i,j),(k,l)) entering the squared equalities
 PLANE_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
-_CASE_BY_SIGNS = {
-    (1, 1, 1): "i",
-    (-1, 1, 1): "ii",
-    (1, -1, 1): "iii",
-    (1, 1, -1): "iv",
-    (1, -1, -1): "v",
-    (-1, 1, -1): "vi",
-    (-1, -1, 1): "vii",
-    (-1, -1, -1): "viii",
-}
-
-
 # --- eigensolver -------------------------------------------------------------
 
 def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, Frame4]:
-    """Cyclic-Jacobi diagonalization of a symmetric 4x4 matrix.
+    """Diagonalization of a symmetric 4x4 matrix by LAPACK's eigh.
 
     Returns eigenvalues sorted descending and the frame whose rows are the
     matching orthonormal eigenvectors, orientation-corrected to det +1.
@@ -66,36 +58,14 @@ def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, Frame4]:
         raise NoConvergence("input must be a finite 4x4 matrix")
     if np.abs(M - M.T).max() > 1e-12 * max(1.0, np.abs(M).max()):
         raise NoConvergence("input matrix is not symmetric")
-    a = M.copy()
-    v = np.eye(4)
-    norm = max(np.linalg.norm(M), 1e-300)
-    for _ in range(50):
-        off = math.sqrt(sum(a[p, q] ** 2 for p in range(4) for q in range(p + 1, 4)))
-        if off < 1e-13 * norm / 2:
-            break
-        for p in range(4):
-            for q in range(p + 1, 4):
-                if a[p, q] == 0.0:
-                    continue
-                theta = 0.5 * (a[q, q] - a[p, p]) / a[p, q]
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                rot = np.eye(4)
-                rot[p, p] = rot[q, q] = c
-                rot[p, q] = s
-                rot[q, p] = -s
-                a = rot.T @ a @ rot
-                v = v @ rot
-    else:
-        raise NoConvergence("Jacobi sweeps did not converge")
-    eig = np.diag(a).copy()
-    order = np.argsort(-eig, kind="stable")
-    eig = eig[order]
-    rows = v.T[order]
+    try:
+        eig, vecs = np.linalg.eigh(M)
+    except np.linalg.LinAlgError as e:
+        raise NoConvergence(str(e)) from e
+    rows = vecs.T[::-1].copy()
     if np.linalg.det(rows) < 0:
         rows[3] = -rows[3]
-    return eig, Frame4(rows)
+    return eig[::-1].copy(), Frame4(rows)
 
 
 # --- multiplicity patterns ---------------------------------------------------
@@ -180,7 +150,25 @@ def penalty_tolerance(R: Curvature4) -> float:
     return 1e-16 * R.scale ** 4
 
 
+def st_components(R: Curvature4, F: Frame4) -> np.ndarray:
+    """Components of R in F, rotated once; raises NotSTFrame unless F is a
+    generalized Singer-Thorpe frame of R."""
+    comp = rotate(R, F).comp
+    if _penalty_of_components(comp, R.scale) > penalty_tolerance(R):
+        raise NotSTFrame("frame penalty above tolerance")
+    return comp
+
+
 # --- trigonometric interpolation ---------------------------------------------
+
+_THREE = (0.0, math.pi / 4, math.pi / 2)
+_FIVE = (0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2)
+
+#: rows (1, cos 2t, sin 2t, cos t, sin t) at the five sample angles
+_FIVE_DESIGN = np.array(
+    [[1.0, math.cos(2 * t), math.sin(2 * t), math.cos(t), math.sin(t)] for t in _FIVE]
+)
+
 
 def trig_fit_extremum(samples) -> float:
     """Global maximizer on (-pi, pi] of the trig polynomial interpolating the
@@ -188,67 +176,45 @@ def trig_fit_extremum(samples) -> float:
 
     3 samples at t = 0, pi/4, pi/2 fit A + B cos 2t + C sin 2t; 5 samples at
     t = 0, +-pi/4, +-pi/2 additionally fit D cos t + E sin t.  Raises
-    DegenerateFit (carrying t_star = 0) when the fit is constant.
+    DegenerateFit (carrying t_star = 0) when the fit is constant.  Ties between
+    maxima go to the smallest |t|, then the smaller t.
     """
     f = np.asarray(samples, dtype=float)
     if f.shape == (3,):
-        b = 0.5 * (f[0] - f[2])
         a = 0.5 * (f[0] + f[2])
-        coef = np.array([a, b, f[1] - a, 0.0, 0.0])
+        coef = np.array([a, 0.5 * (f[0] - f[2]), f[1] - a, 0.0, 0.0])
     elif f.shape == (5,):
-        angles = np.array([0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2])
-        design = np.column_stack(
-            [
-                np.ones_like(angles),
-                np.cos(2 * angles),
-                np.sin(2 * angles),
-                np.cos(angles),
-                np.sin(angles),
-            ]
-        )
-        coef = np.linalg.solve(design, f)
+        coef = np.linalg.solve(_FIVE_DESIGN, f)
     else:
         raise ValueError("expected 3 or 5 samples")
-    _, b, c, d, e = coef
-    if max(abs(b), abs(c), abs(d), abs(e)) < 1e-14:
+    a, b, c, d, e = coef
+    amplitude = max(abs(b), abs(c), abs(d), abs(e))
+    if amplitude < 1e-14:
         raise DegenerateFit()
 
-    def val(t):
-        return coef[0] + b * np.cos(2 * t) + c * np.sin(2 * t) + d * np.cos(t) + e * np.sin(t)
+    def derivatives(t):
+        c1, s1, c2, s2 = np.cos(t), np.sin(t), np.cos(2 * t), np.sin(2 * t)
+        return (
+            a + b * c2 + c * s2 + d * c1 + e * s1,
+            -2 * b * s2 + 2 * c * c2 - d * s1 + e * c1,
+            -4 * b * c2 - 4 * c * s2 - d * c1 - e * s1,
+        )
 
-    def deriv(t):
-        return -2 * b * np.sin(2 * t) + 2 * c * np.cos(2 * t) - d * np.sin(t) + e * np.cos(t)
-
-    def deriv2(t):
-        return -4 * b * np.cos(2 * t) - 4 * c * np.sin(2 * t) - d * np.cos(t) - e * np.sin(t)
-
-    # locate maxima: derivative sign changes on a dense grid, then Newton polish
-    grid = np.linspace(-math.pi, math.pi, 4097)
-    dg = deriv(grid)
-    candidates = []
-    for i in range(len(grid) - 1):
-        if dg[i] == 0.0:
-            candidates.append(grid[i])
-        elif dg[i] * dg[i + 1] < 0:
-            lo, hi = grid[i], grid[i + 1]
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if deriv(lo) * deriv(mid) <= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            candidates.append(0.5 * (lo + hi))
-    for _ in range(4):  # Newton polish
-        candidates = [
-            t - deriv(t) / deriv2(t) if abs(deriv2(t)) > 1e-12 else t
-            for t in candidates
-        ]
-    candidates = [t for t in candidates if abs(deriv(t)) < 1e-11]
-    if not candidates:  # pragma: no cover - dense grid always brackets roots
+    # with z = e^{it}, z^2 f'(t) is a quartic in z whose unit-circle roots are
+    # the stationary points; Newton steps polish their arguments
+    t = np.angle(np.roots([c + 1j * b, 0.5 * (e + 1j * d), 0.0, 0.5 * (e - 1j * d), c - 1j * b]))
+    for _ in range(4):
+        _, d1, d2 = derivatives(t)
+        t = t - np.divide(d1, d2, out=np.zeros_like(t), where=np.abs(d2) > 1e-12)
+    t = np.angle(np.exp(1j * t))
+    val, d1, _ = derivatives(t)
+    stationary = np.abs(d1) <= 1e-9 * amplitude
+    if not stationary.any():  # pragma: no cover - a maximum is always a root
         raise DegenerateFit()
-    best_val = max(val(t) for t in candidates)
-    ties = [t for t in candidates if val(t) >= best_val - 1e-12 * max(1.0, abs(best_val))]
-    t_star = min(ties, key=lambda t: (abs(t), t))
+    t, val = t[stationary], val[stationary]
+    best = val.max()
+    ties = t[val >= best - 1e-12 * max(1.0, abs(best))]
+    t_star = min(ties, key=lambda x: (abs(x), x))
     if t_star <= -math.pi:
         t_star += 2 * math.pi
     return float(t_star)
@@ -267,10 +233,6 @@ def _plane_rotated(F: Frame4, p: int, q: int, t: float) -> Frame4:
 
 def _eval_R(R: Curvature4, x, y, z, w) -> float:
     return float(np.einsum("ijkl,i,j,k,l->", R.comp, x, y, z, w))
-
-
-_THREE = (0.0, math.pi / 4, math.pi / 2)
-_FIVE = (0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2)
 
 
 def _maximize_plane(objective, three_sample: bool) -> float:
@@ -294,23 +256,59 @@ class SignCaseSet:
     relation_residuals: dict
 
 
-def _case_relation(case: str, lam: np.ndarray) -> float:
-    l1, l2, l3, l4 = lam
-    if case == "i":
-        return max(abs(l1 - l2), abs(l1 - l3), abs(l1 - l4))
-    if case == "ii":
-        return max(abs(l1 - l2), abs(l3 - l4))
-    if case == "iii":
-        return max(abs(l1 - l3), abs(l2 - l4))
-    if case == "iv":
-        return max(abs(l1 - l4), abs(l2 - l3))
-    if case == "v":
-        return abs(l1 + l2 - l3 - l4)
-    if case == "vi":
-        return abs(l1 + l3 - l2 - l4)
-    if case == "vii":
-        return abs(l1 + l4 - l2 - l3)
-    return abs(l1 + l2 + l3 + l4)  # viii: tau = 0
+class SignCase(NamedTuple):
+    """One sign case: the signs eps of R'_ijij = eps R'_klkl on the three
+    PLANE_PAIRS, the residual of its Ricci-eigenvalue relation and its
+    closed-form deficit f, both functions of the eigenvalues l1..l4."""
+
+    signs: tuple[int, int, int]
+    relation: Callable[..., float]
+    f: Callable[..., float]
+
+
+#: the eight sign cases, in their canonical order
+SIGN_CASES = {
+    "i": SignCase(
+        (1, 1, 1),
+        lambda l1, l2, l3, l4: max(abs(l1 - l2), abs(l1 - l3), abs(l1 - l4)),
+        lambda l1, l2, l3, l4: 0.0,
+    ),
+    "ii": SignCase(
+        (-1, 1, 1),
+        lambda l1, l2, l3, l4: max(abs(l1 - l2), abs(l3 - l4)),
+        lambda l1, l2, l3, l4: -0.25 * (l1 - l3) ** 2,
+    ),
+    "iii": SignCase(
+        (1, -1, 1),
+        lambda l1, l2, l3, l4: max(abs(l1 - l3), abs(l2 - l4)),
+        lambda l1, l2, l3, l4: -0.25 * (l1 - l2) ** 2,
+    ),
+    "iv": SignCase(
+        (1, 1, -1),
+        lambda l1, l2, l3, l4: max(abs(l1 - l4), abs(l2 - l3)),
+        lambda l1, l2, l3, l4: -0.25 * (l1 - l3) ** 2,
+    ),
+    "v": SignCase(
+        (1, -1, -1),
+        lambda l1, l2, l3, l4: abs(l1 + l2 - l3 - l4),
+        lambda l1, l2, l3, l4: -0.25 * ((l1 - l3) ** 2 + (l1 - l4) ** 2),
+    ),
+    "vi": SignCase(
+        (-1, 1, -1),
+        lambda l1, l2, l3, l4: abs(l1 + l3 - l2 - l4),
+        lambda l1, l2, l3, l4: -0.25 * ((l1 - l2) ** 2 + (l1 - l4) ** 2),
+    ),
+    "vii": SignCase(
+        (-1, -1, 1),
+        lambda l1, l2, l3, l4: abs(l1 + l4 - l2 - l3),
+        lambda l1, l2, l3, l4: -0.25 * ((l1 - l2) ** 2 + (l1 - l3) ** 2),
+    ),
+    "viii": SignCase(  # tau = 0
+        (-1, -1, -1),
+        lambda l1, l2, l3, l4: abs(l1 + l2 + l3 + l4),
+        lambda l1, l2, l3, l4: -0.25 * ((l1 + l2) ** 2 + (l1 + l3) ** 2 + (l1 + l4) ** 2),
+    ),
+}
 
 
 def classify_sign_cases(
@@ -323,11 +321,8 @@ def classify_sign_cases(
     components vanish.  Each reported case's eigenvalue relation is asserted.
     """
     scale = R.scale
-    if st_penalty(R, F) > penalty_tolerance(R):
-        raise NotSTFrame("frame penalty above tolerance")
-    comp = rotate(R, F).comp
+    comp = st_components(R, F)
     lam = np.einsum("aija->ij", comp).diagonal().copy()
-    admissible = []
     epsilons_per_pair = []
     for (i, j), (k, l) in PLANE_PAIRS:
         a, b = comp[i, j, i, j], comp[k, l, k, l]
@@ -340,22 +335,19 @@ def classify_sign_cases(
     cases = []
     epsilons = {}
     residuals = {}
-    for e1 in epsilons_per_pair[0]:
-        for e2 in epsilons_per_pair[1]:
-            for e3 in epsilons_per_pair[2]:
-                case = _CASE_BY_SIGNS[(e1, e2, e3)]
-                resid = _case_relation(case, lam)
-                if resid > tol * scale:
-                    raise CaseRelationViolated(
-                        f"case ({case}) eigenvalue relation residual {resid:.3e}"
-                    )
-                cases.append(case)
-                epsilons[case] = (e1, e2, e3)
-                residuals[case] = resid
-    order = list(_CASE_BY_SIGNS.values())
-    cases = tuple(sorted(set(cases), key=order.index))
+    for case, (signs, relation, _) in SIGN_CASES.items():
+        if not all(e in admissible for e, admissible in zip(signs, epsilons_per_pair)):
+            continue
+        resid = relation(*lam)
+        if resid > tol * scale:
+            raise CaseRelationViolated(
+                f"case ({case}) eigenvalue relation residual {resid:.3e}"
+            )
+        cases.append(case)
+        epsilons[case] = signs
+        residuals[case] = resid
     return SignCaseSet(
-        cases=cases,
+        cases=tuple(cases),
         epsilons=epsilons,
         eigenvalues=lam,
         relation_residuals=residuals,
@@ -390,9 +382,12 @@ def _rotation_case_ii(R: Curvature4, F0: Frame4) -> tuple[Frame4, bool]:
     return _plane_rotated(F0, 0, 1, t), degenerate
 
 
-def _rotation_case_iii(R: Curvature4, F0: Frame4, rng: np.random.Generator) -> Frame4:
+def _rotation_case_iii(
+    R: Curvature4, F0: Frame4, rng: np.random.Generator
+) -> tuple[Frame4, float]:
     """Coordinate ascent over rotations in the two eigen-planes maximizing the
-    sectional component R(e1, e3, e1, e3)."""
+    sectional component R(e1, e3, e1, e3); returns the best start's frame and
+    penalty."""
     best = None
     for start in range(4):
         F = F0
@@ -428,14 +423,17 @@ def _rotation_case_iii(R: Curvature4, F0: Frame4, rng: np.random.Generator) -> F
             if max(abs(t1), abs(t2)) < 1e-12:
                 break
         p = st_penalty(R, F)
-        if best is None or p < best[0]:
-            best = (p, F)
-    return best[1]
+        if best is None or p < best[1]:
+            best = (F, p)
+    return best
 
 
-def _rotation_case_iv(R: Curvature4, F0: Frame4, rng: np.random.Generator) -> Frame4:
+def _rotation_case_iv(
+    R: Curvature4, F0: Frame4, rng: np.random.Generator
+) -> tuple[Frame4, float]:
     """Coordinate ascent over the three Givens planes of the triple eigenspace
-    maximizing R(e1, e2, e2, e4), followed by the fixed 45-degree rotation."""
+    maximizing R(e1, e2, e2, e4), followed by the fixed 45-degree rotation;
+    returns the best start's frame and penalty."""
     best = None
     for start in range(4):
         F = F0
@@ -487,9 +485,9 @@ def _rotation_case_iv(R: Curvature4, F0: Frame4, rng: np.random.Generator) -> Fr
                 break
         F = _plane_rotated(F, 1, 2, math.pi / 4)
         p = st_penalty(R, F)
-        if best is None or p < best[0]:
-            best = (p, F)
-    return best[1]
+        if best is None or p < best[1]:
+            best = (F, p)
+    return best
 
 
 # --- generic fallback --------------------------------------------------------
@@ -588,40 +586,33 @@ def find_st_basis(
     spectrum = ricci_spectrum(R, tol_mult)
     pattern = spectrum.pattern
     F0 = Frame4(spectrum.frame.matrix[list(pattern.canonical_order)])
-    scale = R.scale
     ptol = penalty_tolerance(R)
     rng = np.random.default_rng(seed)
 
-    degenerate = False
-    path = None
-    frame = None
-    if pattern.tag != "I" and st_penalty(R, F0) < ptol:
-        path, frame = "direct-eigenbasis", F0
-    elif pattern.tag == "II":
+    # pattern V has no rotation path: no mixed components survive in any of
+    # its Ricci eigenbases, so one above the tolerance is numerically
+    # degenerate and goes to the fallback, as pattern I does
+    frame, path, degenerate = F0, "direct-eigenbasis", False
+    penalty = math.inf if pattern.tag == "I" else st_penalty(R, F0)
+    if penalty >= ptol and pattern.tag == "II":
         frame, degenerate = _rotation_case_ii(R, F0)
-        path = "rotation-II"
-    elif pattern.tag == "III":
-        frame = _rotation_case_iii(R, F0, rng)
+        path, penalty = "rotation-II", st_penalty(R, frame)
+    elif penalty >= ptol and pattern.tag == "III":
+        frame, penalty = _rotation_case_iii(R, F0, rng)
         path = "rotation-III"
-    elif pattern.tag == "IV":
-        frame = _rotation_case_iv(R, F0, rng)
+    elif penalty >= ptol and pattern.tag == "IV":
+        frame, penalty = _rotation_case_iv(R, F0, rng)
         path = "rotation-IV"
-    elif pattern.tag == "V":
-        # all mixed components vanish in any Ricci eigenbasis of pattern V;
-        # reaching this branch means numerical degeneracy
-        path, frame = "direct-eigenbasis", F0
 
-    if frame is None or st_penalty(R, frame) >= ptol:
-        frame, penalty, diag = generic_st_fallback(
-            R, seed=seed, initial=F0 if pattern.tag == "I" else frame
-        )
+    if penalty >= ptol:
+        frame, penalty, diag = generic_st_fallback(R, seed=seed, initial=frame)
         path = "generic-fallback"
         if penalty >= ptol:
             raise SearchFailed(penalty, diag)
 
     if frame.orientation < 0:
+        # swapping e3 and e4 permutes the penalty's terms: it stays the same
         frame = Frame4(frame.matrix[[0, 1, 3, 2]])
-    penalty = st_penalty(R, frame)
     return STReport(
         frame=frame,
         penalty=penalty,

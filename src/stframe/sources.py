@@ -78,19 +78,11 @@ def lie_group_curvature(g: LieAlgebra4) -> tuple[Connection4, Curvature4]:
     return Connection4(gamma), make_curvature(R)
 
 
-def _fill_plane(comp: np.ndarray, i: int, j: int, value: float) -> None:
-    """Set R_ijij = value together with its symmetry orbit (0-based indices)."""
-    comp[i, j, i, j] = value
-    comp[j, i, j, i] = value
-    comp[i, j, j, i] = -value
-    comp[j, i, i, j] = -value
-
-
 def surface_product(c1: float, c2: float) -> Curvature4:
     """Product of surfaces with Gaussian curvatures c1 (plane e1,e2) and c2 (plane e3,e4)."""
     comp = np.zeros((DIM,) * 4)
-    _fill_plane(comp, 0, 1, -c1)
-    _fill_plane(comp, 2, 3, -c2)
+    _set_orbit(comp, 0, 1, 0, 1, -c1)
+    _set_orbit(comp, 2, 3, 2, 3, -c2)
     return make_curvature(comp)
 
 
@@ -99,7 +91,7 @@ def space_form_product(c: float) -> Curvature4:
     comp = np.zeros((DIM,) * 4)
     for i in range(3):
         for j in range(i + 1, 3):
-            _fill_plane(comp, i, j, -c)
+            _set_orbit(comp, i, j, i, j, -c)
     return make_curvature(comp)
 
 
@@ -221,9 +213,10 @@ def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
         }
         return R, meta
     if name == "example6":
-        m = int(params.get("m", 2))
-        if m < 2:
-            raise ValidationError("m", "example6 requires genus m >= 2")
+        m = float(params.get("m", 2))
+        if not (m.is_integer() and m >= 2):
+            raise ValidationError("m", "example6 requires an integer genus m >= 2")
+        m = int(m)
         # Unit sphere (K=+1) times genus-m surface (K=-1); the surface volume
         # 4*pi*(m-1) comes from the 2D Gauss-Bonnet theorem.
         volume = 4 * math.pi * 4 * math.pi * (m - 1)
@@ -379,7 +372,7 @@ def realize(spec: GeometrySpec) -> tuple[Curvature4, dict]:
 
 
 def _set_orbit(comp: np.ndarray, i: int, j: int, k: int, l: int, v: float) -> None:
-    """Fill the full symmetry orbit of one listed component."""
+    """Fill the full symmetry orbit of one listed component (0-based indices)."""
     for (a, b, c, d), s in (
         ((i, j, k, l), 1.0),
         ((j, i, k, l), -1.0),

@@ -9,9 +9,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseRelationViolated, NotSTFrame, OrientationReversed
-from .frames import _case_relation, penalty_tolerance, st_penalty
-from .tensor import Curvature4, Frame4, rotate
+from .errors import CaseRelationViolated, OrientationReversed, SymmetryViolation
+from .frames import SIGN_CASES, st_components
+from .tensor import Curvature4, Frame4
 
 
 @dataclass(frozen=True)
@@ -43,23 +43,24 @@ class InvariantReport:
 
 
 def st_vectors(R: Curvature4, F: Frame4) -> STVectors:
-    """Read the a', a'', b vectors off rotate(R, F).
+    """Read the a', a'', b vectors off the components of R in F.
 
     Requires an ST frame with orientation +1 (the b vector flips sign under
-    orientation reversal).  The first-Bianchi constraint b1+b2+b3 = 0 is
-    asserted.
+    orientation reversal).  Raises SymmetryViolation when b breaks the
+    first-Bianchi constraint b1+b2+b3 = 0.
     """
     if F.orientation < 0:
         raise OrientationReversed("b is only defined in a det +1 frame")
-    if st_penalty(R, F) > penalty_tolerance(R):
-        raise NotSTFrame("frame penalty above tolerance")
-    c = rotate(R, F).comp
+    c = st_components(R, F)
     v = STVectors(
         a_prime=np.array([c[0, 1, 0, 1], c[0, 2, 0, 2], c[0, 3, 0, 3]]),
         a_dprime=np.array([c[2, 3, 2, 3], c[1, 3, 1, 3], c[1, 2, 1, 2]]),
         b=np.array([c[0, 1, 2, 3], c[0, 2, 3, 1], c[0, 3, 1, 2]]),
     )
-    assert abs(v.b.sum()) <= 1e-10 * R.scale, "first Bianchi violated for b"
+    bianchi = abs(float(v.b.sum()))
+    if bianchi > 1e-10 * R.scale:
+        # b1 + b2 + b3 is the Bianchi sum at index (0, 1, 2, 3)
+        raise SymmetryViolation("first Bianchi identity", (0, 1, 2, 3), bianchi)
     return v
 
 
@@ -77,29 +78,14 @@ def f_by_case(eigenvalues, case: str, tol: float = 1e-8) -> float:
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (4,):
         raise ValueError("expected four eigenvalues")
+    if case not in SIGN_CASES:
+        raise ValueError(f"unknown sign case {case!r}")
     scale = max(1.0, float(np.abs(lam).max()))
-    if _case_relation(case, lam) > tol * scale:
+    if SIGN_CASES[case].relation(*lam) > tol * scale:
         raise CaseRelationViolated(
             f"eigenvalues violate the relation of case ({case})"
         )
-    l1, l2, l3, l4 = lam
-    if case == "i":
-        return 0.0
-    if case == "ii":
-        return -0.25 * (l1 - l3) ** 2
-    if case == "iii":
-        return -0.25 * (l1 - l2) ** 2
-    if case == "iv":
-        return -0.25 * (l1 - l3) ** 2
-    if case == "v":
-        return -0.25 * ((l1 - l3) ** 2 + (l1 - l4) ** 2)
-    if case == "vi":
-        return -0.25 * ((l1 - l2) ** 2 + (l1 - l4) ** 2)
-    if case == "vii":
-        return -0.25 * ((l1 - l2) ** 2 + (l1 - l3) ** 2)
-    if case == "viii":
-        return -0.25 * ((l1 + l2) ** 2 + (l1 + l3) ** 2 + (l1 + l4) ** 2)
-    raise ValueError(f"unknown sign case {case!r}")
+    return float(SIGN_CASES[case].f(*lam))
 
 
 def densities(v: STVectors) -> tuple[float, float]:

@@ -138,6 +138,22 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     bad.write_text("{broken")
     code, _, err = run(capsys, "identity", "--input", str(bad))
     assert code == 2
+    code, _, err = run(capsys, "identity", "--input", str(tmp_path))
+    assert code == 2 and "cannot read" in err
+    latin = tmp_path / "latin1.json"
+    latin.write_bytes(b'{"kind": "gallery", "name": "caf\xe9"}')
+    code, _, err = run(capsys, "identity", "--input", str(latin))
+    assert code == 2 and "cannot read" in err
+    code, _, err = run(capsys, "fuzz", "--count", "-3")
+    assert code == 2 and "count" in err
+    code, _, err = run(capsys, "fuzz", "--count", "0")
+    assert code == 2
+    code, _, err = run(capsys, "invariants", "--gallery", "example6", "--m", "2.5")
+    assert code == 2 and "integer genus" in err
+    doc = tmp_path / "genus.json"
+    doc.write_text('{"kind": "gallery", "name": "example6", "m": 2.5}')
+    code, _, err = run(capsys, "invariants", "--input", str(doc))
+    assert code == 2 and "integer genus" in err
 
 
 def test_json_report_written_to_file(capsys, tmp_path):

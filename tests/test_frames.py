@@ -15,7 +15,7 @@ from stframe.errors import (
     NotWeaklyEinstein,
     SearchFailed,
 )
-from stframe.frames import MIXED_TRIPLES, PLANE_PAIRS, penalty_tolerance
+from stframe.frames import MIXED_TRIPLES, PLANE_PAIRS, SIGN_CASES, penalty_tolerance
 
 from conftest import WEAKLY_EINSTEIN_GALLERY
 
@@ -113,6 +113,10 @@ def test_st_penalty_counts_all_terms():
 
 # --- trigonometric interpolation ---------------------------------------------
 
+_THREE = (0.0, math.pi / 4, math.pi / 2)
+_FIVE = (0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2)
+
+
 def brute_force_max(fun):
     grid = np.linspace(-math.pi, math.pi, 200001)
     return float(grid[np.argmax([fun(t) for t in grid])])
@@ -128,17 +132,34 @@ def test_trig_fit_recovers_frequency_two_maximum():
     assert fun(t) == pytest.approx(1.0 + math.hypot(b, c), abs=1e-9)
 
 
-def test_trig_fit_recovers_mixed_frequency_maximum():
-    coef = (0.3, -0.5, 0.2, 0.8, -0.1)
+def _seeded_coefficients(seed, five_sample):
+    a, b, c, d, e = np.random.default_rng(seed).uniform(-1.0, 1.0, size=5)
+    return (a, b, c, d, e) if five_sample else (a, b, c, 0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "coef, t_max",
+    [
+        pytest.param((0.3, -0.5, 0.2, 0.8, -0.1), None, id="mixed"),
+        # -cos t: the maximum sits on the endpoint pi
+        pytest.param((0.0, 0.0, 0.0, -1.0, 0.0), math.pi, id="minus-cos"),
+        *(pytest.param(_seeded_coefficients(s, False), None, id=f"three-{s}") for s in range(3)),
+        *(pytest.param(_seeded_coefficients(s, True), None, id=f"five-{s}") for s in range(3, 7)),
+    ],
+)
+def test_trig_fit_recovers_mixed_frequency_maximum(coef, t_max):
+    a, b, c, d, e = coef
 
     def fun(t):
-        a, b, c, d, e = coef
         return a + b * math.cos(2 * t) + c * math.sin(2 * t) + d * math.cos(t) + e * math.sin(t)
 
-    samples = [fun(t) for t in (0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2)]
-    t = sf.trig_fit_extremum(samples)
-    t_ref = brute_force_max(fun)
-    assert fun(t) == pytest.approx(fun(t_ref), abs=1e-8)
+    angles = _FIVE if d or e else _THREE
+    t = sf.trig_fit_extremum([fun(x) for x in angles])
+    assert -math.pi < t <= math.pi
+    tol = 1e-9 * max(1.0, *(abs(x) for x in coef))
+    assert fun(t) >= fun(brute_force_max(fun)) - tol
+    if t_max is not None:
+        assert t == pytest.approx(t_max, abs=1e-12)
 
 
 def test_trig_fit_tie_break_prefers_smaller_angle():
@@ -179,16 +200,12 @@ def test_classify_constant_curvature_is_case_i():
 
 def test_case_relation_violation_raises():
     # force the equal-plane sign pattern on a frame whose eigenvalues differ
-    comp = {
-        "i": np.array([1.0, 2.0, 3.0, 4.0]),
-        "v": np.array([1.0, 2.0, 3.0, 4.0]),
-        "viii": np.array([1.0, 1.0, 1.0, 1.0]),
-    }
-    from stframe.frames import _case_relation
-
-    assert _case_relation("i", comp["i"]) > 1.0
-    assert _case_relation("v", np.array([1.0, 2.0, 1.5, 1.5])) == pytest.approx(0.0)
-    assert _case_relation("viii", comp["viii"]) == pytest.approx(4.0)
+    assert SIGN_CASES["i"].relation(1.0, 2.0, 3.0, 4.0) > 1.0
+    assert SIGN_CASES["v"].relation(1.0, 2.0, 1.5, 1.5) == pytest.approx(0.0)
+    assert SIGN_CASES["viii"].relation(1.0, 1.0, 1.0, 1.0) == pytest.approx(4.0)
+    # an unknown case has no relation to check
+    with pytest.raises(ValueError):
+        sf.f_by_case([1.0, 2.0, 3.0, 4.0], "ix")
 
 
 def test_f_by_case_checks_relation():

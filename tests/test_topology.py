@@ -7,7 +7,12 @@ import numpy as np
 import pytest
 
 import stframe as sf
-from stframe.errors import CaseRelationViolated, NotSTFrame, OrientationReversed
+from stframe.errors import (
+    CaseRelationViolated,
+    NotSTFrame,
+    OrientationReversed,
+    SymmetryViolation,
+)
 
 from conftest import WEAKLY_EINSTEIN_GALLERY
 
@@ -25,6 +30,25 @@ def test_st_vectors_requires_st_frame():
     R = sf.surface_product(1.0, -1.0)
     with pytest.raises(NotSTFrame):
         sf.st_vectors(R, sf.random_frame(np.random.default_rng(12)))
+
+
+def test_st_vectors_rejects_first_bianchi_violation():
+    # the R_1234 orbit alone: no mixed or plane components, so the identity
+    # frame has penalty 0, but b = (1, 0, 0) breaks b1 + b2 + b3 = 0
+    comp = np.zeros((4, 4, 4, 4))
+    for (i, j, k, l), s in (
+        ((0, 1, 2, 3), 1.0),
+        ((1, 0, 2, 3), -1.0),
+        ((0, 1, 3, 2), -1.0),
+        ((1, 0, 3, 2), 1.0),
+    ):
+        comp[i, j, k, l] = comp[k, l, i, j] = s
+    R = sf.Curvature4(comp)
+    assert sf.st_penalty(R, sf.identity_frame()) == 0.0
+    with pytest.raises(SymmetryViolation) as exc:
+        sf.st_vectors(R, sf.identity_frame())
+    assert exc.value.identity == "first Bianchi identity"
+    assert exc.value.magnitude == 1.0
 
 
 def test_st_vectors_requires_positive_orientation():
