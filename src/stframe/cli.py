@@ -4,6 +4,7 @@ human-readable text plus a deterministic machine-readable JSON report."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -17,16 +18,18 @@ from .analysis import (
     weakly_einstein_residual,
 )
 from .errors import (
+    JacobiViolation,
     NotWeaklyEinstein,
     ParseError,
     SearchFailed,
     StframeError,
+    SymmetryViolation,
     UnknownGalleryName,
     ValidationError,
 )
 from .frames import find_st_basis, ricci_spectrum
 from .sources import GALLERY_NAMES, gallery, load_spec, random_curvature, realize
-from .topology import f_by_case, f_value, homogeneous_invariants, st_vectors
+from .topology import f_by_case, f_value, invariants_from_vectors, st_vectors
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -115,7 +118,10 @@ def _load_tensor(args):
             text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise ValidationError("input", f"cannot read {args.input}: {e}") from e
-    R, meta = realize(load_spec(text))
+    try:
+        R, meta = realize(load_spec(text))
+    except (SymmetryViolation, JacobiViolation) as e:
+        raise ValidationError("input", f"{args.input}: {e}") from e
     if args.volume is not None:
         meta = dict(meta)
         meta["volume"] = args.volume
@@ -244,12 +250,11 @@ def _cmd_invariants(args) -> int:
         _emit(report, args)
         return EXIT_VERDICT
     vec = st_vectors(R, st.frame)
-    f = f_value(vec)
+    inv = invariants_from_vectors(vec, R.scale, volume)
     f_cases = {
         case: f_by_case(st.sign_cases.eigenvalues, case)
         for case in st.sign_cases.cases
     }
-    inv = homogeneous_invariants(R, st.frame, volume)
     report = {
         "command": "invariants",
         "input": _input_echo(args),
@@ -266,7 +271,7 @@ def _cmd_invariants(args) -> int:
             "b": _floats(vec.b),
             "a": _floats(vec.a),
         },
-        "f": f,
+        "f": inv.f,
         "f_by_case": f_cases,
         "chi_density": inv.chi_density,
         "p1_density": inv.p1_density,
@@ -348,7 +353,7 @@ def _gallery_diff(name: str, params: dict, tol: float, tol_mult: float, seed: in
         if "f" in meta and abs(f - meta["f"]) > 1e-8 * R.scale ** 2:
             mismatches.append("f")
         if "volume" in meta:
-            inv = homogeneous_invariants(R, st.frame, meta["volume"])
+            inv = invariants_from_vectors(vec, R.scale, meta["volume"])
             entry.update(chi=inv.chi, p1=inv.p1, C=inv.C, hitchin_ok=inv.hitchin_ok)
             for key in ("chi", "p1", "C"):
                 if abs(entry[key] - meta[key]) > 1e-9 * max(1.0, abs(meta[key])):
@@ -438,9 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and shared by every later call."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, ValidationError, UnknownGalleryName, OSError) as e:

@@ -45,6 +45,21 @@ MIXED_TRIPLES = tuple(
 #: the three opposite-plane pairs ((i,j),(k,l)) entering the squared equalities
 PLANE_PAIRS = (((0, 1), (2, 3)), ((0, 2), (1, 3)), ((0, 3), (1, 2)))
 
+
+def _flat_positions(indices) -> np.ndarray:
+    """Positions of 4-index tuples in a flattened 4x4x4x4 array."""
+    return np.ravel_multi_index(tuple(zip(*indices)), (4,) * 4)
+
+
+#: flat positions of the mixed components R_ijjk, and of the plane components
+#: R_ijij and R_klkl of the plane pairs
+_MIXED_FLAT = _flat_positions((i, j, j, k) for i, j, k in MIXED_TRIPLES)
+_PLANE_FLAT = (
+    _flat_positions((i, j, i, j) for (i, j), _ in PLANE_PAIRS),
+    _flat_positions((k, l, k, l) for _, (k, l) in PLANE_PAIRS),
+)
+
+
 # --- eigensolver -------------------------------------------------------------
 
 def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, Frame4]:
@@ -131,12 +146,11 @@ def ricci_spectrum(R: Curvature4, tol_mult: float = DEFAULT_TOL_MULT) -> RicciSp
 # --- penalty -----------------------------------------------------------------
 
 def _penalty_of_components(comp: np.ndarray, scale: float) -> float:
-    raw = 0.0
-    for i, j, k in MIXED_TRIPLES:
-        raw += comp[i, j, j, k] ** 2
-    for (i, j), (k, l) in PLANE_PAIRS:
-        raw += (comp[i, j, i, j] ** 2 - comp[k, l, k, l] ** 2) ** 2
-    return raw / scale ** 4
+    flat = comp.reshape(-1)
+    mixed = flat[_MIXED_FLAT]
+    first, second = flat[_PLANE_FLAT[0]], flat[_PLANE_FLAT[1]]
+    planes = first * first - second * second
+    return float(mixed @ mixed + planes @ planes) / scale ** 4
 
 
 def st_penalty(R: Curvature4, F: Frame4) -> float:
@@ -387,7 +401,8 @@ def _rotation_case_iii(
 ) -> tuple[Frame4, float]:
     """Coordinate ascent over rotations in the two eigen-planes maximizing the
     sectional component R(e1, e3, e1, e3); returns the best start's frame and
-    penalty."""
+    penalty.  Stops at the first start whose penalty is below tolerance."""
+    ptol = penalty_tolerance(R)
     best = None
     for start in range(4):
         F = F0
@@ -425,6 +440,8 @@ def _rotation_case_iii(
         p = st_penalty(R, F)
         if best is None or p < best[1]:
             best = (F, p)
+        if p < ptol:
+            break
     return best
 
 
@@ -433,7 +450,9 @@ def _rotation_case_iv(
 ) -> tuple[Frame4, float]:
     """Coordinate ascent over the three Givens planes of the triple eigenspace
     maximizing R(e1, e2, e2, e4), followed by the fixed 45-degree rotation;
-    returns the best start's frame and penalty."""
+    returns the best start's frame and penalty.  Stops at the first start
+    whose penalty is below tolerance."""
+    ptol = penalty_tolerance(R)
     best = None
     for start in range(4):
         F = F0
@@ -487,6 +506,8 @@ def _rotation_case_iv(
         p = st_penalty(R, F)
         if best is None or p < best[1]:
             best = (F, p)
+        if p < ptol:
+            break
     return best
 
 

@@ -262,9 +262,36 @@ def _require_number(obj: dict, key: str) -> float:
     if key not in obj:
         raise ValidationError(key, "required field missing")
     v = obj[key]
-    if not isinstance(v, (int, float)) or isinstance(v, bool) or not math.isfinite(v):
+    if type(v) not in (int, float) or not _all_finite((v,)):
         raise ValidationError(key, "must be a finite number")
     return float(v)
+
+
+def _all_finite(values) -> bool:
+    try:
+        return all(map(math.isfinite, values))
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+_INDICES = frozenset((1, 2, 3, 4))
+
+
+def _require_rows(key: str, entries: list, shape: str, width: int) -> list[tuple]:
+    """The rows [index, ..., value] of a list of width-long rows, each index an
+    integer in 1..4 and the value a finite number, checked column by column."""
+    if not all(type(row) is list and len(row) == width for row in entries):
+        raise ValidationError(key, f"each row must be {shape}")
+    if not entries:
+        return []
+    *indices, values = zip(*entries)
+    for column in indices:
+        # type() rather than isinstance(): JSON true and false are not indices
+        if not (set(map(type, column)) <= {int} and set(column) <= _INDICES):
+            raise ValidationError(key, "indices must be integers in 1..4")
+    if not (set(map(type, values)) <= {int, float} and _all_finite(values)):
+        raise ValidationError(key, "value must be a finite number")
+    return list(zip(*indices, map(float, values)))
 
 
 def load_spec(text: str) -> GeometrySpec:
@@ -289,17 +316,7 @@ def load_spec(text: str) -> GeometrySpec:
         entries = doc.get("c")
         if not isinstance(entries, list):
             raise ValidationError("c", "must be a list of [i, j, k, value] rows")
-        rows = []
-        for row in entries:
-            if not (isinstance(row, list) and len(row) == 4):
-                raise ValidationError("c", "each row must be [i, j, k, value]")
-            i, j, k, v = row
-            if not all(isinstance(x, int) and 1 <= x <= 4 for x in (i, j, k)):
-                raise ValidationError("c", "indices must be integers in 1..4")
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValidationError("c", "value must be a finite number")
-            rows.append((i, j, k, float(v)))
-        params["c"] = rows
+        params["c"] = _require_rows("c", entries, "[i, j, k, value]", 4)
     elif kind == "surface_product":
         params["c1"] = _require_number(doc, "c1")
         params["c2"] = _require_number(doc, "c2")
@@ -309,18 +326,13 @@ def load_spec(text: str) -> GeometrySpec:
         entries = doc.get("components")
         if not isinstance(entries, list):
             raise ValidationError("components", "must be a list of [i, j, k, l, value]")
-        rows = []
-        for row in entries:
-            if not (isinstance(row, list) and len(row) == 5):
-                raise ValidationError("components", "each row must be [i, j, k, l, value]")
-            *idx, v = row
-            if not all(isinstance(x, int) and 1 <= x <= 4 for x in idx):
-                raise ValidationError("components", "indices must be integers in 1..4")
-            if not isinstance(v, (int, float)) or not math.isfinite(v):
-                raise ValidationError("components", "value must be a finite number")
-            rows.append((*idx, float(v)))
-        params["components"] = rows
-        params["symmetry_closure"] = bool(doc.get("symmetry_closure", False))
+        params["components"] = _require_rows(
+            "components", entries, "[i, j, k, l, value]", 5
+        )
+        closure = doc.get("symmetry_closure", False)
+        if type(closure) is not bool:
+            raise ValidationError("symmetry_closure", "must be true or false")
+        params["symmetry_closure"] = closure
     elif kind == "gallery":
         name = doc.get("name")
         if not isinstance(name, str) or name not in GALLERY_NAMES:

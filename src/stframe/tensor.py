@@ -174,9 +174,6 @@ def derived_tensors(R: Curvature4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def rotate(R: Curvature4, F: Frame4) -> Curvature4:
     """Components of R in the frame F: R'_ijkl = R(e'_i, e'_j, e'_k, e'_l)."""
-    m = F.matrix
-    c = R.comp
-    for axis in range(4):
-        c = np.tensordot(m, c, axes=([1], [axis]))
-        c = np.moveaxis(c, 0, axis)
-    return Curvature4(c)
+    # kron(m, m)[(i, j), (a, b)] = m_ia m_jb acts on both index pairs at once
+    k = np.kron(F.matrix, F.matrix)
+    return Curvature4((k @ R.comp.reshape(16, 16) @ k.T).reshape((DIM,) * 4))

@@ -105,10 +105,16 @@ def homogeneous_invariants(
     C = f * volume / (2 pi^2), both Theorem-C bound flags 2 chi +- p1 >= C and
     the Hitchin flag 2 chi >= 3 |sigma| with sigma = p1 / 3.
     """
-    v = st_vectors(R, F)
+    return invariants_from_vectors(st_vectors(R, F), R.scale, volume, tol)
+
+
+def invariants_from_vectors(
+    v: STVectors, scale: float, volume: float | None = None, tol: float = 1e-9
+) -> InvariantReport:
+    """homogeneous_invariants from ST vectors already read off the frame;
+    scale is the tensor's tolerance scale R.scale."""
     chi_d, p1_d = densities(v)
     f = f_value(v)
-    scale = R.scale
     if volume is None:
         return InvariantReport(chi_density=chi_d, p1_density=p1_d, f=f)
     if volume <= 0:

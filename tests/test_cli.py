@@ -154,6 +154,58 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     doc.write_text('{"kind": "gallery", "name": "example6", "m": 2.5}')
     code, _, err = run(capsys, "invariants", "--input", str(doc))
     assert code == 2 and "integer genus" in err
+    # documents whose tensor fails a curvature identity are bad input too
+    doc = tmp_path / "one-component.json"
+    doc.write_text('{"kind": "raw_curvature", "components": [[1, 2, 1, 2, -1.0]]}')
+    code, _, err = run(capsys, "check", "--input", str(doc))
+    assert code == 2 and str(doc) in err and "antisymmetry" in err
+    doc = tmp_path / "not-jacobi.json"
+    doc.write_text('{"kind": "lie_group", "c": [[1, 2, 3, 1.0], [3, 4, 1, 1.0]]}')
+    code, _, err = run(capsys, "check", "--input", str(doc))
+    assert code == 2 and str(doc) in err and "Jacobi" in err
+
+
+def test_consecutive_calls_share_no_state(capsys):
+    code, rep, _ = run_json(
+        capsys, "invariants", "--gallery", "example6", "--m", "2", "--volume", "5"
+    )
+    assert code == 0
+    assert rep["input"] == {"kind": "gallery", "name": "example6", "m": 2.0}
+    assert rep["volume"] == 5.0
+    code, rep, _ = run_json(capsys, "invariants", "--gallery", "example4")
+    assert code == 0
+    assert rep["input"] == {"kind": "gallery", "name": "example4"}
+    assert rep["seed"] == 0
+    assert not {"volume", "chi", "p1", "C"} & set(rep)
+    code, rep, _ = run_json(
+        capsys, "check", "--gallery", "example-products", "--c1", "1", "--c2", "2"
+    )
+    assert code == 1
+    assert rep["command"] == "check"
+    assert rep["input"] == {"kind": "gallery", "name": "example-products", "c1": 1.0, "c2": 2.0}
+
+
+def test_one_st_vectors_call_per_answer(capsys, monkeypatch):
+    import stframe.cli
+    import stframe.topology
+
+    calls = []
+    original = stframe.topology.st_vectors
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    # both bindings: the CLI's own, and the one homogeneous_invariants reads
+    monkeypatch.setattr(stframe.cli, "st_vectors", counting)
+    monkeypatch.setattr(stframe.topology, "st_vectors", counting)
+    code, rep, _ = run_json(capsys, "invariants", "--gallery", "example6", "--m", "2")
+    assert code == 0 and rep["chi"] == pytest.approx(-4.0, abs=1e-9)
+    assert len(calls) == 1
+    calls.clear()
+    code, rep, _ = run_json(capsys, "gallery", "--name", "example6", "--m", "2")
+    assert code == 0 and rep["runs"][0]["mismatches"] == []
+    assert len(calls) == 1
 
 
 def test_json_report_written_to_file(capsys, tmp_path):

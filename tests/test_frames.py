@@ -17,7 +17,7 @@ from stframe.errors import (
 )
 from stframe.frames import MIXED_TRIPLES, PLANE_PAIRS, SIGN_CASES, penalty_tolerance
 
-from conftest import WEAKLY_EINSTEIN_GALLERY
+from conftest import WEAKLY_EINSTEIN_GALLERY, loop_rotate
 
 
 # --- eigensolver --------------------------------------------------------------
@@ -98,17 +98,28 @@ def test_st_penalty_positive_in_generic_frame():
     assert sf.st_penalty(R, F) > 1e-4
 
 
-def test_st_penalty_counts_all_terms():
-    R = sf.random_curvature(41)
-    comp = R.comp
-    expected = sum(comp[i, j, j, k] ** 2 for i, j, k in MIXED_TRIPLES)
-    expected += sum(
+def _explicit_penalty(comp, scale):
+    raw = sum(comp[i, j, j, k] ** 2 for i, j, k in MIXED_TRIPLES)
+    raw += sum(
         (comp[i, j, i, j] ** 2 - comp[k, l, k, l] ** 2) ** 2
         for (i, j), (k, l) in PLANE_PAIRS
     )
+    return raw / scale ** 4
+
+
+def test_st_penalty_counts_all_terms():
+    R = sf.random_curvature(41)
     assert len(MIXED_TRIPLES) == 24
     got = sf.st_penalty(R, sf.identity_frame())
-    assert got == pytest.approx(expected / R.scale ** 4, rel=1e-12)
+    assert got == pytest.approx(_explicit_penalty(R.comp, R.scale), rel=1e-12)
+
+
+def test_st_penalty_in_random_frame_matches_loop_rotation():
+    R = sf.random_curvature(43)
+    for seed in (10, 11, 12):
+        F = sf.random_frame(np.random.default_rng(seed))
+        expected = _explicit_penalty(loop_rotate(R.comp, F.matrix), R.scale)
+        assert sf.st_penalty(R, F) == pytest.approx(expected, rel=1e-12)
 
 
 # --- trigonometric interpolation ---------------------------------------------

@@ -193,6 +193,32 @@ def test_load_spec_rejects_bad_values():
         sf.load_spec(
             json.dumps({"kind": "raw_curvature", "components": [[1, 2, 1, 1.0]]})
         )
+    # JSON booleans are neither indices nor values, and a huge integer is no
+    # finite float
+    for rows in (
+        [[True, 2, 1, 2, -1.0]],
+        [[1, 2, 1, 2, -1.0], [1, 2, 1, False, -1.0]],
+        [[1, 2, 1, 2, False]],
+        [[1, 2, 1, 2, 10 ** 400]],
+    ):
+        with pytest.raises(ValidationError) as err:
+            sf.load_spec(json.dumps({"kind": "raw_curvature", "components": rows}))
+        assert err.value.field == "components"
+    for rows in ([[1, 2, 2, True]], [[1, True, 2, 1.0]]):
+        with pytest.raises(ValidationError) as err:
+            sf.load_spec(json.dumps({"kind": "lie_group", "c": rows}))
+        assert err.value.field == "c"
+    for closure in ("no", 1, None):
+        doc = {
+            "kind": "raw_curvature",
+            "components": [[1, 2, 1, 2, -1.0]],
+            "symmetry_closure": closure,
+        }
+        with pytest.raises(ValidationError) as err:
+            sf.load_spec(json.dumps(doc))
+        assert err.value.field == "symmetry_closure"
+    with pytest.raises(ValidationError):
+        sf.load_spec(json.dumps({"kind": "surface_product", "c1": 10 ** 400, "c2": 1.0}))
 
 
 def test_surface_product_round_trip_through_json():
