@@ -6,6 +6,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 
 import numpy as np
@@ -229,7 +230,6 @@ def _cmd_frame(args) -> int:
         "penalty": st.penalty,
         "construction_path": st.construction_path,
         "sign_cases": list(st.sign_cases.cases),
-        "degenerate_fit": st.degenerate_fit,
     }
     _emit(report, args)
     return EXIT_OK
@@ -452,6 +452,9 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        volume = getattr(args, "volume", None)
+        if volume is not None and not 0 < volume < math.inf:
+            raise ValidationError("volume", "must be a positive finite number")
         return args.func(args)
     except (ParseError, ValidationError, UnknownGalleryName, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -1,19 +1,22 @@
 """Ricci eigenframes, multiplicity patterns, sign-case classification and the
 generalized Singer-Thorpe basis search.
 
-The search follows the constructive existence proof: canonicalize the Ricci
-eigenbasis (LAPACK eigh) by multiplicity pattern, then remove the remaining
-mixed curvature components with one-parameter rotations inside degenerate
-eigenspaces.  Each rotation angle maximizes a trigonometric polynomial fitted
-exactly to a few samples; its stationary points are the roots of one quartic.
-A penalty minimizer over SO(4) serves as fallback for the fully degenerate
-pattern and for any constructive path that stalls.  st_components rotates a
-tensor into a found frame and checks its penalty on that one array; the sign
-cases and the ST vectors are read from it.
+The search is closed form.  The canonical Ricci eigenbasis (LAPACK eigh) is
+tried first; otherwise the frame is read off the curvature operator on
+Lambda^2 = Lambda+ + Lambda-: the singular vectors of its Lambda+ x Lambda-
+block, made unique inside the cluster of equal singular values that the
+Ricci multiplicity pattern names by eigh of the diagonal blocks, give the
+frame's self-dual and anti-self-dual bases, and so the frame.  A penalty
+minimizer over SO(4) stays as a safety net and as the source of the
+SearchFailed diagnostics.  st_components rotates a tensor into a found frame
+and checks its penalty on that one array; the sign cases and the ST vectors
+are read from it.  trig_fit_extremum maximizes a trigonometric polynomial
+fitted exactly to a few samples at a root of one quartic.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -175,7 +178,6 @@ def st_components(R: Curvature4, F: Frame4) -> np.ndarray:
 
 # --- trigonometric interpolation ---------------------------------------------
 
-_THREE = (0.0, math.pi / 4, math.pi / 2)
 _FIVE = (0.0, math.pi / 4, -math.pi / 4, math.pi / 2, -math.pi / 2)
 
 #: rows (1, cos 2t, sin 2t, cos t, sin t) at the five sample angles
@@ -243,19 +245,6 @@ def _plane_rotated(F: Frame4, p: int, q: int, t: float) -> Frame4:
     rows[p] = c * rp + s * rq
     rows[q] = -s * rp + c * rq
     return Frame4(rows)
-
-
-def _eval_R(R: Curvature4, x, y, z, w) -> float:
-    return float(np.einsum("ijkl,i,j,k,l->", R.comp, x, y, z, w))
-
-
-def _maximize_plane(objective, three_sample: bool) -> float:
-    """Maximizing angle of a one-plane rotation objective; 0 if constant."""
-    angles = _THREE if three_sample else _FIVE
-    try:
-        return trig_fit_extremum([objective(t) for t in angles])
-    except DegenerateFit:
-        return 0.0
 
 
 # --- sign-case classification ------------------------------------------------
@@ -377,138 +366,80 @@ class STReport:
     construction_path: str
     sign_cases: SignCaseSet
     eigen: RicciSpectrum
-    degenerate_fit: bool = False
 
 
-def _rotation_case_ii(R: Curvature4, F0: Frame4) -> tuple[Frame4, bool]:
-    """One rotation in the repeated-eigenvalue plane (slots 1,2)."""
-    e = F0.matrix
-
-    def phi(t):
-        c, s = math.cos(t), math.sin(t)
-        return _eval_R(R, c * e[0] + s * e[1], e[2], -s * e[0] + c * e[1], e[3])
-
-    try:
-        t = trig_fit_extremum([phi(a) for a in _THREE])
-        degenerate = False
-    except DegenerateFit:
-        t, degenerate = 0.0, True
-    return _plane_rotated(F0, 0, 1, t), degenerate
+def _wedge(p: int, q: int) -> np.ndarray:
+    """The 2-form e_p ^ e_q as a flattened antisymmetric 4x4 matrix."""
+    w = np.zeros((4, 4))
+    w[p, q], w[q, p] = 1.0, -1.0
+    return w.reshape(16)
 
 
-def _rotation_case_iii(
-    R: Curvature4, F0: Frame4, rng: np.random.Generator
-) -> tuple[Frame4, float]:
-    """Coordinate ascent over rotations in the two eigen-planes maximizing the
-    sectional component R(e1, e3, e1, e3); returns the best start's frame and
-    penalty.  Stops at the first start whose penalty is below tolerance."""
-    ptol = penalty_tolerance(R)
-    best = None
-    for start in range(4):
-        F = F0
-        if start > 0:
-            F = _plane_rotated(F, 0, 1, rng.uniform(-math.pi, math.pi))
-            F = _plane_rotated(F, 2, 3, rng.uniform(-math.pi, math.pi))
-        for _ in range(300):
-            e = F.matrix
-            t1 = _maximize_plane(
-                lambda t: _eval_R(
-                    R,
-                    math.cos(t) * e[0] + math.sin(t) * e[1],
-                    e[2],
-                    math.cos(t) * e[0] + math.sin(t) * e[1],
-                    e[2],
-                ),
-                three_sample=True,
-            )
-            F = _plane_rotated(F, 0, 1, t1)
-            e = F.matrix
-            t2 = _maximize_plane(
-                lambda t: _eval_R(
-                    R,
-                    e[0],
-                    math.cos(t) * e[2] + math.sin(t) * e[3],
-                    e[0],
-                    math.cos(t) * e[2] + math.sin(t) * e[3],
-                ),
-                three_sample=True,
-            )
-            F = _plane_rotated(F, 2, 3, t2)
-            # at criticality both update angles collapse to zero
-            if max(abs(t1), abs(t2)) < 1e-12:
-                break
-        p = st_penalty(R, F)
-        if best is None or p < best[1]:
-            best = (F, p)
-        if p < ptol:
-            break
-    return best
+#: rows: the self-dual, then the anti-self-dual 2-forms
+#: omega(+-)_i = (e0^ei +- ej^ek) / sqrt 2, (i, j, k) cyclic; in their basis
+#: 1/4 P R P^T is the curvature operator on Lambda+ + Lambda-
+_LAMBDA_PM = np.array([
+    (_wedge(0, i) + s * _wedge(j, k)) / math.sqrt(2)
+    for s in (1, -1)
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
+])
+
+#: per multiplicity pattern, the positions (in descending order) of the
+#: cluster of equal singular values of the Lambda+ x Lambda- block, and
+#: whether the cluster is zero; pattern II's nonzero pair is read off the gaps
+_CLUSTERS = {
+    "I": ((0, 1, 2), True),
+    "II": (None, False),
+    "III": ((1, 2), True),
+    "IV": ((0, 1, 2), False),
+    "V": ((), False),
+}
 
 
-def _rotation_case_iv(
-    R: Curvature4, F0: Frame4, rng: np.random.Generator
-) -> tuple[Frame4, float]:
-    """Coordinate ascent over the three Givens planes of the triple eigenspace
-    maximizing R(e1, e2, e2, e4), followed by the fixed 45-degree rotation;
-    returns the best start's frame and penalty.  Stops at the first start
-    whose penalty is below tolerance."""
-    ptol = penalty_tolerance(R)
-    best = None
-    for start in range(4):
-        F = F0
-        if start > 0:
-            for p, q in ((0, 1), (0, 2), (1, 2)):
-                F = _plane_rotated(F, p, q, rng.uniform(-math.pi, math.pi))
-        for _ in range(300):
-            e = F.matrix
-            # plane (1,2): both argument slots rotate -> frequency-1 objective
-            t1 = _maximize_plane(
-                lambda t: _eval_R(
-                    R,
-                    math.cos(t) * e[0] + math.sin(t) * e[1],
-                    -math.sin(t) * e[0] + math.cos(t) * e[1],
-                    -math.sin(t) * e[0] + math.cos(t) * e[1],
-                    e[3],
-                ),
-                three_sample=False,
-            )
-            F = _plane_rotated(F, 0, 1, t1)
-            e = F.matrix
-            # plane (1,3): first slot rotates -> frequency-1 objective
-            t2 = _maximize_plane(
-                lambda t: _eval_R(
-                    R,
-                    math.cos(t) * e[0] + math.sin(t) * e[2],
-                    e[1],
-                    e[1],
-                    e[3],
-                ),
-                three_sample=False,
-            )
-            F = _plane_rotated(F, 0, 2, t2)
-            e = F.matrix
-            # plane (2,3): the repeated slot rotates -> frequency-2 objective
-            t3 = _maximize_plane(
-                lambda t: _eval_R(
-                    R,
-                    e[0],
-                    math.cos(t) * e[1] + math.sin(t) * e[2],
-                    math.cos(t) * e[1] + math.sin(t) * e[2],
-                    e[3],
-                ),
-                three_sample=True,
-            )
-            F = _plane_rotated(F, 1, 2, t3)
-            # at criticality all update angles collapse to zero
-            if max(abs(t1), abs(t2), abs(t3)) < 1e-12:
-                break
-        F = _plane_rotated(F, 1, 2, math.pi / 4)
-        p = st_penalty(R, F)
-        if best is None or p < best[1]:
-            best = (F, p)
-        if p < ptol:
-            break
-    return best
+def _closed_form_frame(R: Curvature4, spectrum: RicciSpectrum) -> Frame4:
+    """Generalized Singer-Thorpe frame read off the blocks of the curvature
+    operator on Lambda+ + Lambda-.
+
+    In an oriented ST frame the blocks A (Lambda+ Lambda+), B (Lambda+
+    Lambda-) and C (Lambda- Lambda-) are diagonal in the frame's omega(+-)
+    bases, with B_ii = 0 or A_ii + C_ii = 0 for each i.  The singular vectors
+    of B give those bases up to a rotation inside each cluster of equal
+    singular values: independent eigenbases of A and C inside a zero
+    cluster, one common eigenbasis of A - C (there C = -A) inside a nonzero
+    one.  Then Omega_i = (omega'+_i + omega'-_i) / sqrt 2 = e0 ^ ei, e0 is
+    the top eigenvector of sum Omega_i Omega_i^T and ei = -Omega_i e0.  The
+    rows are ordered as the spectrum's canonical eigenframe.
+    """
+    M = 0.25 * _LAMBDA_PM @ R.comp.reshape(16, 16) @ _LAMBDA_PM.T
+    A, B, C = M[:3, :3], M[:3, 3:], M[3:, 3:]
+    up, sigma, vt = np.linalg.svd(B)
+    um = vt.T
+    cluster, zero = _CLUSTERS[spectrum.pattern.tag]
+    if cluster is None:  # the closer of the two adjacent pairs
+        cluster = (0, 1) if sigma[0] - sigma[1] < sigma[1] - sigma[2] else (1, 2)
+    cluster = list(cluster)
+    if cluster:
+        wp, wm = up[:, cluster], um[:, cluster]
+        ap, cm = wp.T @ A @ wp, wm.T @ C @ wm
+        if zero:
+            qp, qm = np.linalg.eigh(ap)[1], np.linalg.eigh(cm)[1]
+            # pair the two eigenbases so that what B has left sits on the diagonal
+            b = np.abs(qp.T @ wp.T @ B @ wm @ qm)
+            pairing = max(itertools.permutations(range(len(cluster))),
+                          key=lambda p: b[range(len(p)), p].sum())
+            up[:, cluster], um[:, cluster] = wp @ qp, wm @ qm[:, pairing]
+        else:
+            q = np.linalg.eigh(ap - cm)[1]
+            up[:, cluster], um[:, cluster] = wp @ q, wm @ q
+    for u in (up, um):
+        if np.linalg.det(u) < 0:
+            u[:, 2] = -u[:, 2]
+    omega = ((up.T @ _LAMBDA_PM[:3] + um.T @ _LAMBDA_PM[3:]) / math.sqrt(2)).reshape(3, 4, 4)
+    e0 = np.linalg.eigh(np.einsum("iab,icb->ac", omega, omega))[1][:, -1]
+    rows = np.vstack([e0, -omega @ e0])
+    diag = np.einsum("ia,ab,ib->i", rows, ricci(R), rows)
+    rows = rows[np.argsort(-diag, kind="stable")]
+    return Frame4(rows[list(spectrum.pattern.canonical_order)])
 
 
 # --- generic fallback --------------------------------------------------------
@@ -597,9 +528,10 @@ def find_st_basis(
 ) -> STReport:
     """Find a generalized Singer-Thorpe frame of a weakly-Einstein tensor.
 
-    Raises NotWeaklyEinstein when the precondition fails and SearchFailed when
-    neither the constructive path nor the SO(4) fallback reaches the penalty
-    tolerance.
+    The construction path is "direct-eigenbasis" or "closed-form"; the seeded
+    SO(4) fallback ("generic-fallback") runs only when both miss the penalty
+    tolerance.  Raises NotWeaklyEinstein when the precondition fails and
+    SearchFailed when the fallback misses it too.
     """
     wres = weakly_einstein_residual(R, tol)
     if not wres.passes:
@@ -608,22 +540,14 @@ def find_st_basis(
     pattern = spectrum.pattern
     F0 = Frame4(spectrum.frame.matrix[list(pattern.canonical_order)])
     ptol = penalty_tolerance(R)
-    rng = np.random.default_rng(seed)
 
-    # pattern V has no rotation path: no mixed components survive in any of
-    # its Ricci eigenbases, so one above the tolerance is numerically
-    # degenerate and goes to the fallback, as pattern I does
-    frame, path, degenerate = F0, "direct-eigenbasis", False
-    penalty = math.inf if pattern.tag == "I" else st_penalty(R, F0)
-    if penalty >= ptol and pattern.tag == "II":
-        frame, degenerate = _rotation_case_ii(R, F0)
-        path, penalty = "rotation-II", st_penalty(R, frame)
-    elif penalty >= ptol and pattern.tag == "III":
-        frame, penalty = _rotation_case_iii(R, F0, rng)
-        path = "rotation-III"
-    elif penalty >= ptol and pattern.tag == "IV":
-        frame, penalty = _rotation_case_iv(R, F0, rng)
-        path = "rotation-IV"
+    # the canonical Ricci eigenframe is already an ST frame for most inputs
+    # of pattern V; otherwise the closed form on Lambda+ + Lambda- gives one
+    frame, path = F0, "direct-eigenbasis"
+    penalty = st_penalty(R, F0)
+    if penalty >= ptol:
+        frame, path = _closed_form_frame(R, spectrum), "closed-form"
+        penalty = st_penalty(R, frame)
 
     if penalty >= ptol:
         frame, penalty, diag = generic_st_fallback(R, seed=seed, initial=frame)
@@ -640,5 +564,4 @@ def find_st_basis(
         construction_path=path,
         sign_cases=classify_sign_cases(R, frame),
         eigen=spectrum,
-        degenerate_fit=degenerate,
     )

@@ -95,9 +95,26 @@ def curvature_from_components(entries: dict) -> sf.Curvature4:
     return sf.make_curvature(comp)
 
 
+#: 1-based planes of a' and a'' and index tuples of b in a generalized
+#: Singer-Thorpe frame
+ST_A_PRIME_PLANES = ((1, 2), (1, 3), (1, 4))
+ST_A_DPRIME_PLANES = ((3, 4), (2, 4), (2, 3))
+ST_B_INDICES = ((1, 2, 3, 4), (1, 3, 4, 2), (1, 4, 2, 3))
+
+
+def st_construction(a_prime, eps, b) -> sf.Curvature4:
+    """Tensor whose identity frame is a generalized Singer-Thorpe frame with
+    a' = a_prime, a'' = eps * a_prime and the given b (b1 + b2 + b3 = 0)."""
+    entries = dict(zip(ST_B_INDICES, b))
+    for (i, j), (k, l), a, e in zip(ST_A_PRIME_PLANES, ST_A_DPRIME_PLANES, a_prime, eps):
+        entries[(i, j, i, j)] = a
+        entries[(k, l, k, l)] = e * a
+    return curvature_from_components(entries)
+
+
 #: weakly-Einstein tensor whose Ricci spectrum has one repeated pair and two
-#: distinct simple eigenvalues, and whose eigenbasis carries nonzero mixed
-#: components (so the one-plane rotation inside the pair eigenspace is needed)
+#: distinct simple eigenvalues, and nonzero mixed components in its eigenbasis
+#: (the closed form with a nonzero pair cluster)
 PATTERN_II_COMPONENTS = {
     (1, 2, 1, 2): -1.0,
     (1, 2, 3, 4): -0.3436927825249169,
@@ -113,7 +130,7 @@ PATTERN_II_COMPONENTS = {
 }
 
 #: weakly-Einstein tensor with two repeated Ricci eigenvalue pairs and nonzero
-#: mixed components in its eigenbasis (exercises the two-plane ascent)
+#: mixed components in its eigenbasis (the closed form with a zero cluster)
 PATTERN_III_COMPONENTS = {
     (1, 2, 1, 2): -1.0,
     (1, 2, 3, 4): 0.8133320710697904,
@@ -131,8 +148,7 @@ PATTERN_III_COMPONENTS = {
 }
 
 #: weakly-Einstein tensor with a triple Ricci eigenvalue and nonzero mixed
-#: components in its eigenbasis (exercises the three-plane ascent plus the
-#: final 45-degree rotation)
+#: components in its eigenbasis (the closed form with a nonzero triple cluster)
 PATTERN_IV_COMPONENTS = {
     (1, 2, 1, 2): -0.5,
     (1, 2, 1, 4): -0.07500716082854879,

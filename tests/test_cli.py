@@ -150,6 +150,12 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "invariants", "--gallery", "example6", "--m", "2.5")
     assert code == 2 and "integer genus" in err
+    for volume in ("-1", "0", "nan", "inf"):
+        code, out, err = run(
+            capsys, "invariants", "--gallery", "example6", "--m", "2", "--volume", volume,
+            "--json", "-",
+        )
+        assert code == 2 and "volume" in err and out == ""
     doc = tmp_path / "genus.json"
     doc.write_text('{"kind": "gallery", "name": "example6", "m": 2.5}')
     code, _, err = run(capsys, "invariants", "--input", str(doc))

@@ -1,6 +1,7 @@
 """Eigenframes, multiplicity patterns, trig-polynomial maximization, the frame
 penalty, sign-case classification and the generalized Singer-Thorpe search."""
 
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from stframe.errors import (
 )
 from stframe.frames import MIXED_TRIPLES, PLANE_PAIRS, SIGN_CASES, penalty_tolerance
 
-from conftest import WEAKLY_EINSTEIN_GALLERY, loop_rotate
+from conftest import WEAKLY_EINSTEIN_GALLERY, loop_ricci, loop_rotate, st_construction
 
 
 # --- eigensolver --------------------------------------------------------------
@@ -250,22 +251,21 @@ def test_find_st_basis_recovers_rotated_tensor():
 def test_find_st_basis_pattern_ii_rotation(pattern_ii_tensor):
     rep = sf.find_st_basis(pattern_ii_tensor)
     assert rep.eigen.pattern.tag == "II"
-    assert rep.construction_path == "rotation-II"
+    assert rep.construction_path == "closed-form"
     assert rep.penalty < penalty_tolerance(pattern_ii_tensor)
-    assert not rep.degenerate_fit
 
 
 def test_find_st_basis_pattern_iii_rotation(pattern_iii_tensor):
     rep = sf.find_st_basis(pattern_iii_tensor)
     assert rep.eigen.pattern.tag == "III"
-    assert rep.construction_path == "rotation-III"
+    assert rep.construction_path == "closed-form"
     assert rep.penalty < penalty_tolerance(pattern_iii_tensor)
 
 
 def test_find_st_basis_pattern_iv_rotation(pattern_iv_tensor):
     rep = sf.find_st_basis(pattern_iv_tensor)
     assert rep.eigen.pattern.tag == "IV"
-    assert rep.construction_path == "rotation-IV"
+    assert rep.construction_path == "closed-form"
     assert rep.penalty < penalty_tolerance(pattern_iv_tensor)
 
 
@@ -275,6 +275,72 @@ def test_find_st_basis_einstein_tensor_in_generic_frame():
     assert rep.eigen.pattern.tag == "I"
     assert rep.penalty < penalty_tolerance(R)
     assert "i" in rep.sign_cases.cases
+
+
+#: per count of -1 entries in eps: the patterns its shapes take, each with
+#: the number of -1 positions whose |a'_k| are set equal (none, two or three),
+#: and the number of shapes drawn
+_GENERATED_SHAPES = {
+    0: (("I", 0, 200),),
+    1: (("III", 0, 50),),
+    2: (("V", 0, 50), ("II", 2, 50)),
+    3: (("V", 0, 50), ("II", 2, 50), ("IV", 3, 50)),
+}
+
+
+def _draw_shape(rng, eps, equal):
+    """(a', b) at unit size with |a'_k| equal on the first `equal` positions
+    where eps is -1; redrawn until every gap between the ST frame's Ricci
+    eigenvalues is either an intended equality or at least 0.1."""
+    same = [k for k in range(3) if eps[k] < 0][:equal]
+    while True:
+        a = rng.uniform(0.3, 1.0, 3) * rng.choice([-1.0, 1.0], 3)
+        for k in same[1:]:
+            a[k] = abs(a[same[0]]) * rng.choice([-1.0, 1.0])
+        b = rng.uniform(-1.0, 1.0, 3)
+        b[2] = -b[0] - b[1]
+        gaps = np.diff(np.sort(np.diag(loop_ricci(st_construction(a, eps, b).comp))))
+        if np.all((gaps < 1e-12) | (gaps >= 0.1)):
+            return a, b
+
+
+@pytest.mark.parametrize(
+    "eps",
+    list(itertools.product((1, -1), repeat=3)),
+    ids=lambda eps: "".join("+" if e > 0 else "-" for e in eps),
+)
+def test_find_st_basis_on_generated_tensors(eps):
+    # a' and a'' = eps a' and b placed in a frame, scaled and randomly rotated;
+    # eps = (1, 1, 1) gives generic Einstein tensors
+    rng = np.random.default_rng(sum(2 ** k for k, e in enumerate(eps) if e < 0))
+    for pattern, equal, count in _GENERATED_SHAPES[list(eps).count(-1)]:
+        for _ in range(count):
+            a, b = _draw_shape(rng, eps, equal)
+            s = math.exp(rng.uniform(math.log(1e-2), math.log(1e2)))
+            R = sf.rotate(st_construction(s * a, eps, s * b), sf.random_frame(rng))
+            rep = sf.find_st_basis(R)
+            assert rep.construction_path in ("direct-eigenbasis", "closed-form")
+            assert rep.penalty < penalty_tolerance(R)
+            assert rep.eigen.pattern.tag == pattern
+            f = sf.f_value(sf.st_vectors(R, rep.frame))
+            assert f <= 1e-12 * R.scale ** 2  # f <= 0 up to rounding
+            for case in rep.sign_cases.cases:
+                f_case = sf.f_by_case(rep.sign_cases.eigenvalues, case)
+                assert f_case == pytest.approx(f, abs=1e-9 * R.scale ** 2)
+
+
+def test_find_st_basis_near_einstein_stays_closed_form():
+    # a Ricci split of 2e-7 reads as pattern I, so the Lambda+ x Lambda- block
+    # is not quite zero on its zero triple: the two eigenbases must be paired
+    # so that what is left of it stays on the diagonal
+    a, b = np.array([1e-7, 0.6, -0.8]), np.array([0.3, -0.5, 0.2])
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        R = sf.rotate(st_construction(a, (-1, 1, 1), b), sf.random_frame(rng))
+        rep = sf.find_st_basis(R)
+        assert rep.eigen.pattern.tag == "I"
+        assert rep.construction_path == "closed-form"
+        assert rep.penalty < penalty_tolerance(R)
 
 
 def test_find_st_basis_result_frame_is_oriented():
