@@ -3,6 +3,7 @@ weakly-Einstein conditions, plus the forbidden Ricci-eigenvalue patterns."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,9 +22,12 @@ class ResidualReport:
     tol: float
 
 
-def _report(matrix: np.ndarray, norm_r2: float, tol: float) -> ResidualReport:
+def _report(matrix: np.ndarray, norm: float, tol: float) -> ResidualReport:
+    """norm is the power of |R| that matches the residual's degree in R, so
+    relative, and with it the verdict, does not depend on the scale of R;
+    the residuals of the zero tensor are zero."""
     max_abs = float(np.abs(matrix).max())
-    relative = max_abs / max(1.0, norm_r2)
+    relative = max_abs / norm if max_abs else 0.0
     return ResidualReport(
         matrix=matrix,
         max_abs=max_abs,
@@ -64,7 +68,7 @@ def einstein_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> ResidualReport
     rho = ricci(R)
     s = summary(R)
     matrix = rho - 0.25 * s.tau * np.eye(4)
-    return _report(matrix, s.normR2, tol)
+    return _report(matrix, math.sqrt(s.normR2), tol)
 
 
 def reduced_identity_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> ResidualReport:

@@ -22,15 +22,14 @@ from .errors import (
     JacobiViolation,
     NotWeaklyEinstein,
     ParseError,
-    SearchFailed,
     StframeError,
     SymmetryViolation,
     UnknownGalleryName,
     ValidationError,
 )
-from .frames import find_st_basis, ricci_spectrum
+from .frames import SIGN_CASES, find_st_basis, ricci_spectrum
 from .sources import GALLERY_NAMES, gallery, load_spec, random_curvature, realize
-from .topology import f_by_case, f_value, invariants_from_vectors, st_vectors
+from .topology import f_value, invariants_from_vectors, st_vectors
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -106,26 +105,23 @@ def _gallery_params(args) -> dict:
 
 
 def _load_tensor(args):
+    """The tensor and its metadata; --volume, when given, is meta["volume"]."""
     if args.gallery is not None:
         R, meta = gallery(args.gallery, **_gallery_params(args))
-        if args.volume is not None:
-            meta = dict(meta)
-            meta["volume"] = args.volume
-        return R, meta
-    if args.input is None:
+    elif args.input is None:
         raise ValidationError("input", "either --input FILE or --gallery NAME required")
-    try:
-        with open(args.input, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as e:
-        raise ValidationError("input", f"cannot read {args.input}: {e}") from e
-    try:
-        R, meta = realize(load_spec(text))
-    except (SymmetryViolation, JacobiViolation) as e:
-        raise ValidationError("input", f"{args.input}: {e}") from e
+    else:
+        try:
+            with open(args.input, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as e:
+            raise ValidationError("input", f"cannot read {args.input}: {e}") from e
+        try:
+            R, meta = realize(load_spec(text))
+        except (SymmetryViolation, JacobiViolation) as e:
+            raise ValidationError("input", f"{args.input}: {e}") from e
     if args.volume is not None:
-        meta = dict(meta)
-        meta["volume"] = args.volume
+        meta = dict(meta, volume=args.volume)
     return R, meta
 
 
@@ -207,7 +203,7 @@ def _cmd_frame(args) -> int:
     R, _ = _load_tensor(args)
     erep = einstein_residual(R, args.tol)
     try:
-        st = find_st_basis(R, tol=args.tol, tol_mult=args.tol_mult, seed=args.seed)
+        st = find_st_basis(R, tol=args.tol, tol_mult=args.tol_mult)
     except NotWeaklyEinstein as e:
         report = {
             "command": "frame",
@@ -237,9 +233,9 @@ def _cmd_frame(args) -> int:
 
 def _cmd_invariants(args) -> int:
     R, meta = _load_tensor(args)
-    volume = args.volume if args.volume is not None else meta.get("volume")
+    volume = meta.get("volume")
     try:
-        st = find_st_basis(R, tol=args.tol, tol_mult=args.tol_mult, seed=args.seed)
+        st = find_st_basis(R, tol=args.tol, tol_mult=args.tol_mult)
     except NotWeaklyEinstein as e:
         report = {
             "command": "invariants",
@@ -251,8 +247,10 @@ def _cmd_invariants(args) -> int:
         return EXIT_VERDICT
     vec = st_vectors(R, st.frame)
     inv = invariants_from_vectors(vec, R.scale, volume)
+    # classify_sign_cases checked each case's eigenvalue relation against
+    # the scale of R; f_by_case would check it against the eigenvalues alone
     f_cases = {
-        case: f_by_case(st.sign_cases.eigenvalues, case)
+        case: float(SIGN_CASES[case].f(*st.sign_cases.eigenvalues))
         for case in st.sign_cases.cases
     }
     report = {
@@ -317,7 +315,7 @@ def _cmd_fuzz(args) -> int:
     return EXIT_OK if ok else EXIT_VERDICT
 
 
-def _gallery_diff(name: str, params: dict, tol: float, tol_mult: float, seed: int) -> dict:
+def _gallery_diff(name: str, params: dict, tol: float, tol_mult: float) -> dict:
     """Run the full pipeline on one gallery entry and diff against metadata."""
     R, meta = gallery(name, **params)
     mismatches = []
@@ -342,7 +340,7 @@ def _gallery_diff(name: str, params: dict, tol: float, tol_mult: float, seed: in
         "einstein": erep.passes,
     }
     if wrep.passes:
-        st = find_st_basis(R, tol=tol, tol_mult=tol_mult, seed=seed)
+        st = find_st_basis(R, tol=tol, tol_mult=tol_mult)
         entry["penalty"] = st.penalty
         entry["sign_cases"] = list(st.sign_cases.cases)
         if meta.get("cases") and not set(meta["cases"]) <= set(st.sign_cases.cases):
@@ -372,7 +370,7 @@ def _cmd_gallery(args) -> int:
         return EXIT_OK
     if args.all:
         runs = [
-            _gallery_diff(name, params, args.tol, args.tol_mult, args.seed)
+            _gallery_diff(name, params, args.tol, args.tol_mult)
             for name, params in GALLERY_SUITE
         ]
         ok = all(r["ok"] for r in runs)
@@ -381,9 +379,7 @@ def _cmd_gallery(args) -> int:
         return EXIT_OK if ok else EXIT_VERDICT
     if args.name is None:
         raise ValidationError("name", "one of --list, --all or --name required")
-    entry = _gallery_diff(
-        args.name, _gallery_params(args), args.tol, args.tol_mult, args.seed
-    )
+    entry = _gallery_diff(args.name, _gallery_params(args), args.tol, args.tol_mult)
     report = {"command": "gallery", "runs": [entry], "all_ok": entry["ok"]}
     _emit(report, args)
     return EXIT_OK if entry["ok"] else EXIT_VERDICT
@@ -459,9 +455,6 @@ def main(argv=None) -> int:
     except (ParseError, ValidationError, UnknownGalleryName, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except SearchFailed as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_SEARCH
     except StframeError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_SEARCH

@@ -66,7 +66,8 @@ class NotWeaklyEinstein(StframeError):
 
 
 class SearchFailed(StframeError):
-    """Neither the constructive path nor the fallback reached the penalty tolerance."""
+    """Neither closed path of the frame search reached the penalty tolerance;
+    diagnostics maps each path tried to its frame's penalty."""
 
     def __init__(self, best_penalty, diagnostics):
         self.best_penalty = best_penalty

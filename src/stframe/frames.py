@@ -1,17 +1,21 @@
 """Ricci eigenframes, multiplicity patterns, sign-case classification and the
 generalized Singer-Thorpe basis search.
 
-The search is closed form.  The canonical Ricci eigenbasis (LAPACK eigh) is
-tried first; otherwise the frame is read off the curvature operator on
-Lambda^2 = Lambda+ + Lambda-: the singular vectors of its Lambda+ x Lambda-
-block, made unique inside the cluster of equal singular values that the
-Ricci multiplicity pattern names by eigh of the diagonal blocks, give the
-frame's self-dual and anti-self-dual bases, and so the frame.  A penalty
-minimizer over SO(4) stays as a safety net and as the source of the
-SearchFailed diagnostics.  st_components rotates a tensor into a found frame
-and checks its penalty on that one array; the sign cases and the ST vectors
-are read from it.  trig_fit_extremum maximizes a trigonometric polynomial
-fitted exactly to a few samples at a root of one quartic.
+The search is two closed paths.  The canonical Ricci eigenbasis (LAPACK
+eigh) is tried first; otherwise the frame is read off the curvature operator
+on Lambda^2 = Lambda+ + Lambda-: the singular vectors of its Lambda+ x
+Lambda- block, made unique inside the cluster of equal singular values that
+the Ricci multiplicity pattern names by eigh of the diagonal blocks, give the
+frame's self-dual and anti-self-dual bases, and so the frame.  A frame is
+accepted when its dimensionless penalty is below PENALTY_TOLERANCE; every
+other tolerance is relative to the tensor's scale max |R_ijkl|.
+st_components rotates a tensor into a found frame and checks its penalty on
+that one array; the sign cases and the ST vectors are read from it.
+generic_st_fallback, a penalty minimizer over SO(4), is not part of the
+search; it checks infeasibility: on a tensor with no frame its best penalty
+stays far above the tolerance.
+trig_fit_extremum maximizes a trigonometric polynomial fitted exactly to a
+few samples at a root of one quartic.
 """
 
 from __future__ import annotations
@@ -35,6 +39,9 @@ from .errors import (
 from .tensor import Curvature4, Frame4, random_frame, ricci, rotate
 
 DEFAULT_TOL_MULT = 1e-6
+
+#: a frame is a generalized Singer-Thorpe frame when its st_penalty is below this
+PENALTY_TOLERANCE = 1e-16
 
 #: ordered (i, j, k) index triples of the 24 mixed components R_ijjk (i != k)
 MIXED_TRIPLES = tuple(
@@ -104,13 +111,13 @@ class RicciSpectrum:
     pattern: MultiplicityPattern
 
 
-def multiplicity_pattern(eigenvalues, tol_mult: float) -> MultiplicityPattern:
-    """Group sorted eigenvalues by transitive closure of near-equality."""
+def multiplicity_pattern(eigenvalues, threshold: float) -> MultiplicityPattern:
+    """Group sorted eigenvalues by transitive closure of near-equality: two
+    neighbours are equal when they differ by at most threshold."""
     lam = np.asarray(eigenvalues, dtype=float)
-    s = max(1.0, float(np.abs(lam).max()))
     blocks: list[list[int]] = [[0]]
     for i in range(1, 4):
-        if abs(lam[i] - lam[blocks[-1][-1]]) <= tol_mult * s:
+        if abs(lam[i] - lam[blocks[-1][-1]]) <= threshold:
             blocks[-1].append(i)
         else:
             blocks.append([i])
@@ -138,11 +145,13 @@ def multiplicity_pattern(eigenvalues, tol_mult: float) -> MultiplicityPattern:
 
 
 def ricci_spectrum(R: Curvature4, tol_mult: float = DEFAULT_TOL_MULT) -> RicciSpectrum:
+    """Ricci eigenvalues and eigenframe; eigenvalues within tol_mult * R.scale
+    of each other count as equal."""
     eig, frame = sym_eigen(ricci(R))
     return RicciSpectrum(
         eigenvalues=eig,
         frame=frame,
-        pattern=multiplicity_pattern(eig, tol_mult),
+        pattern=multiplicity_pattern(eig, tol_mult * R.scale),
     )
 
 
@@ -153,25 +162,22 @@ def _penalty_of_components(comp: np.ndarray, scale: float) -> float:
     mixed = flat[_MIXED_FLAT]
     first, second = flat[_PLANE_FLAT[0]], flat[_PLANE_FLAT[1]]
     planes = first * first - second * second
-    return float(mixed @ mixed + planes @ planes) / scale ** 4
+    return float(mixed @ mixed) / scale ** 2 + float(planes @ planes) / scale ** 4
 
 
 def st_penalty(R: Curvature4, F: Frame4) -> float:
-    """Non-negative frame penalty; zero exactly on generalized Singer-Thorpe
-    frames (all 24 mixed components R'_ijjk vanish and the three squared
-    plane-pair equalities hold).  Normalized by scale^4."""
+    """Non-negative dimensionless frame penalty; zero exactly on generalized
+    Singer-Thorpe frames (all 24 mixed components R'_ijjk vanish and the
+    three squared plane-pair equalities hold).  The mixed terms are divided
+    by scale^2 and the plane-pair terms by scale^4."""
     return _penalty_of_components(rotate(R, F).comp, R.scale)
-
-
-def penalty_tolerance(R: Curvature4) -> float:
-    return 1e-16 * R.scale ** 4
 
 
 def st_components(R: Curvature4, F: Frame4) -> np.ndarray:
     """Components of R in F, rotated once; raises NotSTFrame unless F is a
     generalized Singer-Thorpe frame of R."""
     comp = rotate(R, F).comp
-    if _penalty_of_components(comp, R.scale) > penalty_tolerance(R):
+    if _penalty_of_components(comp, R.scale) > PENALTY_TOLERANCE:
         raise NotSTFrame("frame penalty above tolerance")
     return comp
 
@@ -321,7 +327,9 @@ def classify_sign_cases(
 
     For each plane pair, a sign eps is admissible when
     |R'_ijij - eps R'_klkl| <= tol*scale; both signs are admissible when both
-    components vanish.  Each reported case's eigenvalue relation is asserted.
+    components vanish.  A case whose signs are admissible but whose
+    eigenvalue relation misses tol*scale is dropped; CaseRelationViolated
+    when no case is left.
     """
     scale = R.scale
     comp = st_components(R, F)
@@ -343,12 +351,14 @@ def classify_sign_cases(
             continue
         resid = relation(*lam)
         if resid > tol * scale:
-            raise CaseRelationViolated(
-                f"case ({case}) eigenvalue relation residual {resid:.3e}"
-            )
+            continue
         cases.append(case)
         epsilons[case] = signs
         residuals[case] = resid
+    if not cases:
+        raise CaseRelationViolated(
+            "no admissible sign case satisfies its eigenvalue relation"
+        )
     return SignCaseSet(
         cases=tuple(cases),
         epsilons=epsilons,
@@ -476,26 +486,20 @@ def _line_min(fun):
 
 
 def generic_st_fallback(
-    R: Curvature4,
-    n_starts: int = 20,
-    seed: int = 0,
-    max_sweeps: int = 100,
-    initial: Frame4 | None = None,
+    R: Curvature4, n_starts: int = 20, seed: int = 0
 ) -> tuple[Frame4, float, list[float]]:
     """Minimize st_penalty over SO(4) by cyclic coordinate descent over the six
-    Givens angles with golden-section line searches; deterministic seeded
-    multi-start.  Returns (best frame, best penalty, per-start penalties)."""
+    Givens angles with golden-section line searches, at most 100 sweeps from
+    each of n_starts seeded random frames.  Returns (best frame, best
+    penalty, per-start penalties); a best penalty well above
+    PENALTY_TOLERANCE shows that R has no generalized Singer-Thorpe frame."""
     rng = np.random.default_rng(seed)
-    ptol = penalty_tolerance(R)
     best = None
     start_penalties = []
-    for start in range(n_starts):
-        if start == 0 and initial is not None:
-            F = initial
-        else:
-            F = random_frame(rng)
+    for _ in range(n_starts):
+        F = random_frame(rng)
         p = st_penalty(R, F)
-        for _ in range(max_sweeps):
+        for _ in range(100):
             improved = p
             for plane in _PLANES:
                 pq = plane
@@ -508,12 +512,12 @@ def generic_st_fallback(
                 pc = st_penalty(R, cand)
                 if pc < p:
                     F, p = cand, pc
-            if p < ptol or improved - p < max(1e-18, 1e-3 * p):
+            if p < PENALTY_TOLERANCE or improved - p < max(1e-18, 1e-3 * p):
                 break
         start_penalties.append(p)
         if best is None or p < best[0]:
             best = (p, F)
-        if p < ptol:
+        if p < PENALTY_TOLERANCE:
             break
     return best[1], best[0], start_penalties
 
@@ -524,43 +528,36 @@ def find_st_basis(
     R: Curvature4,
     tol: float = 1e-9,
     tol_mult: float = DEFAULT_TOL_MULT,
-    seed: int = 0,
 ) -> STReport:
     """Find a generalized Singer-Thorpe frame of a weakly-Einstein tensor.
 
-    The construction path is "direct-eigenbasis" or "closed-form"; the seeded
-    SO(4) fallback ("generic-fallback") runs only when both miss the penalty
-    tolerance.  Raises NotWeaklyEinstein when the precondition fails and
-    SearchFailed when the fallback misses it too.
+    The construction path is "direct-eigenbasis" or "closed-form", the
+    first whose frame has a penalty below PENALTY_TOLERANCE.  Raises
+    NotWeaklyEinstein when the precondition fails and SearchFailed, carrying
+    the penalty of each path, when both paths miss.
     """
     wres = weakly_einstein_residual(R, tol)
     if not wres.passes:
         raise NotWeaklyEinstein(wres)
     spectrum = ricci_spectrum(R, tol_mult)
-    pattern = spectrum.pattern
-    F0 = Frame4(spectrum.frame.matrix[list(pattern.canonical_order)])
-    ptol = penalty_tolerance(R)
+    frame = Frame4(spectrum.frame.matrix[list(spectrum.pattern.canonical_order)])
 
     # the canonical Ricci eigenframe is already an ST frame for most inputs
     # of pattern V; otherwise the closed form on Lambda+ + Lambda- gives one
-    frame, path = F0, "direct-eigenbasis"
-    penalty = st_penalty(R, F0)
-    if penalty >= ptol:
+    path = "direct-eigenbasis"
+    penalties = {path: st_penalty(R, frame)}
+    if penalties[path] >= PENALTY_TOLERANCE:
         frame, path = _closed_form_frame(R, spectrum), "closed-form"
-        penalty = st_penalty(R, frame)
-
-    if penalty >= ptol:
-        frame, penalty, diag = generic_st_fallback(R, seed=seed, initial=frame)
-        path = "generic-fallback"
-        if penalty >= ptol:
-            raise SearchFailed(penalty, diag)
+        penalties[path] = st_penalty(R, frame)
+        if penalties[path] >= PENALTY_TOLERANCE:
+            raise SearchFailed(min(penalties.values()), penalties)
 
     if frame.orientation < 0:
         # swapping e3 and e4 permutes the penalty's terms: it stays the same
         frame = Frame4(frame.matrix[[0, 1, 3, 2]])
     return STReport(
         frame=frame,
-        penalty=penalty,
+        penalty=penalties[path],
         construction_path=path,
         sign_cases=classify_sign_cases(R, frame),
         eigen=spectrum,

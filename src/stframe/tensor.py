@@ -43,8 +43,8 @@ class Curvature4:
 
     @property
     def scale(self) -> float:
-        """Tolerance scale s = max(1, max |R_ijkl|)."""
-        return max(1.0, float(np.abs(self.comp).max()))
+        """Tolerance scale s = max |R_ijkl|, and 1 for the zero tensor."""
+        return float(np.abs(self.comp).max()) or 1.0
 
 
 @dataclass(frozen=True)

@@ -122,7 +122,7 @@ def invariants_from_vectors(
     chi = chi_d * volume
     p1 = p1_d * volume
     C = f * volume / (2 * math.pi ** 2)
-    slack = tol * max(1.0, scale ** 2) * volume
+    slack = tol * scale ** 2 * volume
     return InvariantReport(
         chi_density=chi_d,
         p1_density=p1_d,

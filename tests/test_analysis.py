@@ -61,17 +61,29 @@ def test_weakly_einstein_residual_known_matrix():
     assert not rep.passes
 
 
-def test_weakly_einstein_residual_passes_on_opposite_surfaces():
+#: verdicts are scale-free: the same tensors, randomly rotated, at these scales
+SCALES = (1e-9, 1e-3, 1.0, 1e3, 1e9)
+
+
+def _rotated(R):
+    return sf.rotate(R, sf.random_frame(np.random.default_rng(12)))
+
+
+@pytest.mark.parametrize("s", SCALES, ids=lambda s: f"{s:g}")
+def test_weakly_einstein_residual_passes_on_opposite_surfaces(s):
     for c in (1.0, 3.0):
-        rep = sf.weakly_einstein_residual(sf.surface_product(c, -c))
+        rep = sf.weakly_einstein_residual(_rotated(sf.surface_product(c * s, -c * s)))
         assert rep.passes
         assert rep.relative < 1e-12
+    assert not sf.weakly_einstein_residual(_rotated(sf.surface_product(s, 2 * s))).passes
 
 
-def test_einstein_residual_detects_einstein_tensors():
-    assert sf.einstein_residual(sf.constant_curvature(1.0)).passes
-    assert sf.einstein_residual(sf.surface_product(1.0, 1.0)).passes
-    assert not sf.einstein_residual(sf.surface_product(1.0, -1.0)).passes
+@pytest.mark.parametrize("s", SCALES, ids=lambda s: f"{s:g}")
+def test_einstein_residual_detects_einstein_tensors(s):
+    assert sf.einstein_residual(_rotated(sf.constant_curvature(s))).passes
+    assert sf.einstein_residual(_rotated(sf.surface_product(s, s))).passes
+    assert not sf.einstein_residual(_rotated(sf.surface_product(s, -s))).passes
+    assert not sf.einstein_residual(_rotated(sf.surface_product(s, 2 * s))).passes
 
 
 def test_einstein_residual_known_matrix():

@@ -168,8 +168,9 @@ def test_curvature_components_are_immutable():
         R.comp[0, 0, 0, 0] = 1.0
 
 
-def test_scale_floor_is_one():
+def test_scale_is_max_abs_component():
     tiny = sf.make_curvature(1e-3 * sf.surface_product(1.0, 1.0).comp)
-    assert tiny.scale == 1.0
+    assert tiny.scale == 1e-3
     big = sf.surface_product(5.0, 1.0)
     assert big.scale == 5.0
+    assert sf.make_curvature(np.zeros((4, 4, 4, 4))).scale == 1.0
