@@ -1,21 +1,21 @@
 """Ricci eigenframes, multiplicity patterns, sign-case classification and the
 generalized Singer-Thorpe basis search.
 
-The search is two closed paths.  The canonical Ricci eigenbasis (LAPACK
-eigh) is tried first; otherwise the frame is read off the curvature operator
-on Lambda^2 = Lambda+ + Lambda-: the singular vectors of its Lambda+ x
-Lambda- block, made unique inside the cluster of equal singular values that
-the Ricci multiplicity pattern names by eigh of the diagonal blocks, give the
-frame's self-dual and anti-self-dual bases, and so the frame.  A frame is
-accepted when its dimensionless penalty is below PENALTY_TOLERANCE; every
-other tolerance is relative to the tensor's scale max |R_ijkl|.
-st_components rotates a tensor into a found frame and checks its penalty on
-that one array; the sign cases and the ST vectors are read from it.
+The search is two closed paths.  When the four Ricci eigenvalues are apart
+(pattern V) the Ricci eigenbasis (LAPACK eigh) is tried first; otherwise, or
+when it misses, the frame is read off the curvature operator on Lambda^2 =
+Lambda+ + Lambda-: the singular vectors of its Lambda+ x Lambda- block, made
+unique inside the cluster of equal singular values that the Ricci
+multiplicity pattern names by eigh of the diagonal blocks, give the frame's
+self-dual and anti-self-dual bases, and so the frame.  A frame is accepted
+when its dimensionless penalty is below PENALTY_TOLERANCE; every other
+tolerance is relative to the tensor's scale max |R_ijkl|.  st_components
+rotates a tensor into a found frame and checks its penalty on that one
+array; the sign cases and the ST vectors are read from it.
 generic_st_fallback, a penalty minimizer over SO(4), is not part of the
 search; it checks infeasibility: on a tensor with no frame its best penalty
-stays far above the tolerance.
-trig_fit_extremum maximizes a trigonometric polynomial fitted exactly to a
-few samples at a root of one quartic.
+stays far above the tolerance.  trig_fit_extremum maximizes a trigonometric
+polynomial fitted exactly to a few samples at a root of one quartic.
 """
 
 from __future__ import annotations
@@ -158,11 +158,11 @@ def ricci_spectrum(R: Curvature4, tol_mult: float = DEFAULT_TOL_MULT) -> RicciSp
 # --- penalty -----------------------------------------------------------------
 
 def _penalty_of_components(comp: np.ndarray, scale: float) -> float:
-    flat = comp.reshape(-1)
+    flat = comp.reshape(-1) / scale
     mixed = flat[_MIXED_FLAT]
     first, second = flat[_PLANE_FLAT[0]], flat[_PLANE_FLAT[1]]
     planes = first * first - second * second
-    return float(mixed @ mixed) / scale ** 2 + float(planes @ planes) / scale ** 4
+    return float(mixed @ mixed + planes @ planes)
 
 
 def st_penalty(R: Curvature4, F: Frame4) -> float:
@@ -531,22 +531,25 @@ def find_st_basis(
 ) -> STReport:
     """Find a generalized Singer-Thorpe frame of a weakly-Einstein tensor.
 
-    The construction path is "direct-eigenbasis" or "closed-form", the
-    first whose frame has a penalty below PENALTY_TOLERANCE.  Raises
-    NotWeaklyEinstein when the precondition fails and SearchFailed, carrying
-    the penalty of each path, when both paths miss.
+    The construction path is "direct-eigenbasis" (tried for pattern V only)
+    or "closed-form", the first whose frame has a penalty below
+    PENALTY_TOLERANCE.  Raises NotWeaklyEinstein when the precondition fails
+    and SearchFailed, carrying the penalty of each path tried, when no path
+    reaches it.
     """
     wres = weakly_einstein_residual(R, tol)
     if not wres.passes:
         raise NotWeaklyEinstein(wres)
     spectrum = ricci_spectrum(R, tol_mult)
-    frame = Frame4(spectrum.frame.matrix[list(spectrum.pattern.canonical_order)])
 
-    # the canonical Ricci eigenframe is already an ST frame for most inputs
-    # of pattern V; otherwise the closed form on Lambda+ + Lambda- gives one
-    path = "direct-eigenbasis"
-    penalties = {path: st_penalty(R, frame)}
-    if penalties[path] >= PENALTY_TOLERANCE:
+    # the Ricci eigenframe is unique, and accurate, only when the eigenvalues
+    # are apart (pattern V), and there it is an ST frame for most inputs;
+    # otherwise the closed form on Lambda+ + Lambda- gives one
+    penalties = {}
+    if spectrum.pattern.tag == "V":
+        frame, path = spectrum.frame, "direct-eigenbasis"
+        penalties[path] = st_penalty(R, frame)
+    if not penalties or penalties[path] >= PENALTY_TOLERANCE:
         frame, path = _closed_form_frame(R, spectrum), "closed-form"
         penalties[path] = st_penalty(R, frame)
         if penalties[path] >= PENALTY_TOLERANCE:

@@ -62,7 +62,7 @@ def test_weakly_einstein_residual_known_matrix():
 
 
 #: verdicts are scale-free: the same tensors, randomly rotated, at these scales
-SCALES = (1e-9, 1e-3, 1.0, 1e3, 1e9)
+SCALES = (1e-90, 1e-9, 1e-3, 1.0, 1e3, 1e9, 1e90)
 
 
 def _rotated(R):

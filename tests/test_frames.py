@@ -249,12 +249,36 @@ def test_find_st_basis_requires_weakly_einstein():
 
 
 def test_find_st_basis_direct_path_on_adapted_tensor():
-    R, _ = sf.gallery("example4", a=1.0, b=0.0)
+    # four distinct Ricci eigenvalues (pattern V), the only pattern whose
+    # eigenbasis is unique; the eigenframe lists the construction's axes in
+    # the order e2, e3, e4, e1, so eps = (1, -1, -1) reads as case vii
+    R = st_construction((0.4, 0.7, 1.0), (1, -1, -1), (0.3, -0.8, 0.5))
     rep = sf.find_st_basis(R)
+    assert rep.eigen.pattern.tag == "V"
     assert rep.construction_path == "direct-eigenbasis"
     assert rep.penalty < PENALTY_TOLERANCE
-    assert "v" in rep.sign_cases.cases
+    assert rep.sign_cases.cases == ("vii",)
     assert rep.frame.orientation == 1
+
+
+@pytest.mark.parametrize("s", (1e-90, 1e90), ids=lambda s: f"{s:g}")
+def test_find_st_basis_at_extreme_scales(s):
+    # the penalty divides the components by the scale before squaring them;
+    # s^2 and s^4 themselves would underflow or overflow here
+    Q = sf.random_frame(np.random.default_rng(9))
+    for R0 in (
+        st_construction((0.4, 0.7, 1.0), (1, -1, -1), (0.3, -0.8, 0.5)),
+        sf.surface_product(1.0, -1.0),
+    ):
+        R1 = sf.rotate(R0, Q)
+        unit = sf.find_st_basis(R1)
+        R = sf.rotate(sf.make_curvature(s * R0.comp), Q)
+        rep = sf.find_st_basis(R)
+        assert rep.construction_path == unit.construction_path
+        assert rep.penalty < PENALTY_TOLERANCE
+        assert rep.sign_cases.cases == unit.sign_cases.cases
+        f = sf.f_value(sf.st_vectors(R, rep.frame)) / s ** 2
+        assert f == pytest.approx(sf.f_value(sf.st_vectors(R1, unit.frame)), abs=1e-12)
 
 
 def test_find_st_basis_recovers_rotated_tensor():
@@ -349,10 +373,13 @@ def test_find_st_basis_on_generated_tensors(eps):
                 assert abs(c[i, j, i, j] ** 2 - c[k, l, k, l] ** 2) <= 1e-9 * m * m
             f = sf.f_value(sf.st_vectors(R, rep.frame))
             assert f <= 1e-12 * R.scale ** 2  # f <= 0 up to rounding
-            # classify_sign_cases checked each case's relation against the
-            # scale of R, which f_by_case cannot see in a Ricci-flat spectrum
+            # f_by_case checks a case's relation against max(1, max |lambda|),
+            # which a Ricci-flat spectrum (rounding noise) misses above a
+            # scale of about 1e7, a known fault listed in CHANGES.md; on those
+            # shapes only the case's f is checked
             for case in rep.sign_cases.cases:
-                f_case = SIGN_CASES[case].f(*rep.sign_cases.eigenvalues)
+                lam = rep.sign_cases.eigenvalues
+                f_case = SIGN_CASES[case].f(*lam) if flat else sf.f_by_case(lam, case)
                 assert f_case == pytest.approx(f, abs=1e-9 * R.scale ** 2)
 
 
