@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import Curvature4, derived_tensors, ricci, summary
+from .tensor import _EYE, Curvature4, _lrho, _rcheck, ricci
 
 DEFAULT_TOL = 1e-9
 
@@ -37,38 +37,40 @@ def _report(matrix: np.ndarray, norm: float, tol: float) -> ResidualReport:
     )
 
 
+def _reduced_matrix(R: Curvature4) -> np.ndarray:
+    """2 rho.rho + Lrho - tau rho - |rho|^2 g + (tau^2/4) g, with rho computed once."""
+    rho = ricci(R)
+    tau = float(np.trace(rho))
+    return (
+        2.0 * (rho @ rho)
+        + _lrho(R, rho)
+        - tau * rho
+        - (float(np.sum(rho * rho)) - 0.25 * tau ** 2) * _EYE
+    )
+
+
 def identity_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Residual of the universal identity
     Rcheck - 2 rhocheck - Lrho + tau rho - (|R|^2 - 4|rho|^2 + tau^2)/4 g = 0,
-    which vanishes for every algebraic curvature tensor in dimension 4.
+    which vanishes for every algebraic curvature tensor in dimension 4; it is
+    the weakly-Einstein residual minus the reduced one.
     """
-    rho = ricci(R)
-    rcheck, rhocheck, lrho = derived_tensors(R)
-    s = summary(R)
-    matrix = (
-        rcheck
-        - 2.0 * rhocheck
-        - lrho
-        + s.tau * rho
-        - 0.25 * (s.normR2 - 4.0 * s.normRho2 + s.tau ** 2) * np.eye(4)
-    )
-    return _report(matrix, s.normR2, tol)
+    normR2 = float(np.vdot(R.comp, R.comp))
+    matrix = _rcheck(R) - 0.25 * normR2 * _EYE - _reduced_matrix(R)
+    return _report(matrix, normR2, tol)
 
 
 def weakly_einstein_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Residual of Rcheck_ij = |R|^2/4 delta_ij; passing means weakly Einstein."""
-    rcheck, _, _ = derived_tensors(R)
-    s = summary(R)
-    matrix = rcheck - 0.25 * s.normR2 * np.eye(4)
-    return _report(matrix, s.normR2, tol)
+    normR2 = float(np.vdot(R.comp, R.comp))
+    return _report(_rcheck(R) - 0.25 * normR2 * _EYE, normR2, tol)
 
 
 def einstein_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Residual of rho = (tau/4) g; passing means Einstein."""
     rho = ricci(R)
-    s = summary(R)
-    matrix = rho - 0.25 * s.tau * np.eye(4)
-    return _report(matrix, math.sqrt(s.normR2), tol)
+    matrix = rho - 0.25 * float(np.trace(rho)) * _EYE
+    return _report(matrix, math.sqrt(np.vdot(R.comp, R.comp)), tol)
 
 
 def reduced_identity_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> ResidualReport:
@@ -77,34 +79,25 @@ def reduced_identity_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> Residu
     2 rho.rho + Lrho - tau rho - |rho|^2 g + (tau^2/4) g = 0.
     Passes exactly when weakly_einstein_residual passes.
     """
-    rho = ricci(R)
-    _, rhocheck, lrho = derived_tensors(R)
-    s = summary(R)
-    matrix = (
-        2.0 * rhocheck
-        + lrho
-        - s.tau * rho
-        - (s.normRho2 - 0.25 * s.tau ** 2) * np.eye(4)
-    )
-    return _report(matrix, s.normR2, tol)
+    return _report(_reduced_matrix(R), float(np.vdot(R.comp, R.comp)), tol)
 
 
 def forbidden_pattern(eigenvalues, tol: float) -> int | None:
     """Match the forbidden patterns: three equal nonzero Ricci eigenvalues and
-    one zero.  Returns the pattern id (1..4, by the position of the zero:
-    zero in slot 4 -> 1, slot 3 -> 2, slot 2 -> 3, slot 1 -> 4) or None.
+    one zero, judged against tol * max|lambda| (a match has max|lambda| > 0).
+    Returns the pattern id (1..4, by the position of the zero: zero in slot
+    4 -> 1, slot 3 -> 2, slot 2 -> 3, slot 1 -> 4) or None.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (4,):
         raise ValueError("expected four eigenvalues")
-    s = max(1.0, float(np.abs(lam).max()))
-    thresh = tol * s
-    for zero_pos in range(4):
-        rest = np.delete(lam, zero_pos)
-        if (
-            abs(lam[zero_pos]) <= thresh
-            and np.abs(rest - rest.mean()).max() <= thresh
-            and np.all(np.abs(rest) > thresh)
-        ):
-            return 4 - zero_pos
+    # four floats: plain Python is cheaper than numpy here
+    lam = lam.tolist()
+    thresh = tol * max(map(abs, lam))
+    for zero_pos, zero in enumerate(lam):
+        rest = lam[:zero_pos] + lam[zero_pos + 1:]
+        if abs(zero) <= thresh < min(map(abs, rest)):
+            mean = sum(rest) / 3.0
+            if max(abs(x - mean) for x in rest) <= thresh:
+                return 4 - zero_pos
     return None

@@ -81,7 +81,7 @@ def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, Frame4]:
     M = np.asarray(M, dtype=float)
     if M.shape != (4, 4) or not np.all(np.isfinite(M)):
         raise NoConvergence("input must be a finite 4x4 matrix")
-    if np.abs(M - M.T).max() > 1e-12 * max(1.0, np.abs(M).max()):
+    if np.abs(M - M.T).max() > 1e-12 * np.abs(M).max():
         raise NoConvergence("input matrix is not symmetric")
     try:
         eig, vecs = np.linalg.eigh(M)
@@ -114,7 +114,7 @@ class RicciSpectrum:
 def multiplicity_pattern(eigenvalues, threshold: float) -> MultiplicityPattern:
     """Group sorted eigenvalues by transitive closure of near-equality: two
     neighbours are equal when they differ by at most threshold."""
-    lam = np.asarray(eigenvalues, dtype=float)
+    lam = np.asarray(eigenvalues, dtype=float).tolist()
     blocks: list[list[int]] = [[0]]
     for i in range(1, 4):
         if abs(lam[i] - lam[blocks[-1][-1]]) <= threshold:

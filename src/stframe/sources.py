@@ -16,6 +16,7 @@ from .errors import (
     ValidationError,
 )
 from .tensor import (
+    _EYE,
     DIM,
     Curvature4,
     make_curvature,
@@ -34,7 +35,7 @@ class LieAlgebra4:
         c = np.ascontiguousarray(self.c, dtype=float)
         if c.shape != (DIM,) * 3 or not np.all(np.isfinite(c)):
             raise JacobiViolation("structure constants must be a finite 4x4x4 array")
-        scale = max(1.0, float(np.abs(c).max()))
+        scale = float(np.abs(c).max())
         anti = np.abs(c + c.transpose(1, 0, 2)).max()
         if anti > 1e-10 * scale:
             raise JacobiViolation(f"c_ijk != -c_jik: worst residual {anti:.3e}")
@@ -97,8 +98,7 @@ def space_form_product(c: float) -> Curvature4:
 
 def constant_curvature(c: float) -> Curvature4:
     """Space form: R_ijkl = c (delta_il delta_jk - delta_ik delta_jl)."""
-    eye = np.eye(DIM)
-    comp = c * (np.einsum("il,jk->ijkl", eye, eye) - np.einsum("ik,jl->ijkl", eye, eye))
+    comp = c * (np.einsum("il,jk->ijkl", _EYE, _EYE) - np.einsum("ik,jl->ijkl", _EYE, _EYE))
     return make_curvature(comp)
 
 

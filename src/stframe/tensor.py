@@ -27,6 +27,9 @@ def _frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
+_EYE = _frozen(np.eye(DIM))
+
+
 @dataclass(frozen=True)
 class Curvature4:
     """All 256 components of an algebraic curvature tensor at a point.
@@ -57,7 +60,7 @@ class Frame4:
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (DIM, DIM) or not np.all(np.isfinite(m)):
             raise FrameNotOrthogonal("frame must be a finite 4x4 matrix")
-        err = np.abs(m @ m.T - np.eye(DIM)).max()
+        err = np.abs(m @ m.T - _EYE).max()
         if err > _FRAME_TOL * 10:
             raise FrameNotOrthogonal(f"frame not orthogonal: |F F^T - I| = {err:.3e}")
         object.__setattr__(self, "matrix", _frozen(m))
@@ -118,7 +121,7 @@ def make_curvature(raw: np.ndarray) -> Curvature4:
         raise SymmetryViolation("shape", raw.shape, float("nan"))
     if not np.all(np.isfinite(raw)):
         raise SymmetryViolation("finiteness", (), float("nan"))
-    tol = 1e-10 * max(1.0, float(np.abs(raw).max()))
+    tol = 1e-10 * float(np.abs(raw).max())
     checks = [
         ("antisymmetry in first pair", raw + raw.transpose(1, 0, 2, 3)),
         ("antisymmetry in last pair", raw + raw.transpose(0, 1, 3, 2)),
@@ -152,10 +155,25 @@ def ricci(R: Curvature4) -> np.ndarray:
     return 0.5 * (rho + rho.T)
 
 
+def _rcheck(R: Curvature4) -> np.ndarray:
+    """Rcheck_ij = sum_abc R_abci R_abcj = (M^T M)_ij with M = comp.reshape(64, 4)."""
+    m = R.comp.reshape(-1, DIM)
+    return m.T @ m
+
+
+def _lrho(R: Curvature4, rho: np.ndarray) -> np.ndarray:
+    """(Lrho)_ij = 2 sum_ab R_iabj rho_ab: one (16, 16) @ (16,) product on the
+    components ordered (i, j, a, b), symmetrized."""
+    lrho = R.comp.transpose(0, 3, 1, 2).reshape(16, 16) @ (2.0 * rho.reshape(16))
+    lrho = lrho.reshape(DIM, DIM)
+    return 0.5 * (lrho + lrho.T)
+
+
 def summary(R: Curvature4) -> ScalarSummary:
+    """(|R|^2, |rho|^2, tau), with rho computed once."""
     rho = ricci(R)
     return ScalarSummary(
-        normR2=float(np.sum(R.comp * R.comp)),
+        normR2=float(np.vdot(R.comp, R.comp)),
         normRho2=float(np.sum(rho * rho)),
         tau=float(np.trace(rho)),
     )
@@ -164,12 +182,10 @@ def summary(R: Curvature4) -> ScalarSummary:
 def derived_tensors(R: Curvature4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(Rcheck, rhocheck, Lrho) with
     Rcheck_ij = sum_abc R_abci R_abcj, rhocheck = rho.rho,
-    (Lrho)_ij = 2 sum_ab R_iabj rho_ab.
+    (Lrho)_ij = 2 sum_ab R_iabj rho_ab, with rho computed once.
     """
     rho = ricci(R)
-    rcheck = np.einsum("abci,abcj->ij", R.comp, R.comp)
-    lrho = 2.0 * np.einsum("iabj,ab->ij", R.comp, rho)
-    return rcheck, rho @ rho, 0.5 * (lrho + lrho.T)
+    return _rcheck(R), rho @ rho, _lrho(R, rho)
 
 
 def rotate(R: Curvature4, F: Frame4) -> Curvature4:

@@ -46,12 +46,13 @@ def test_identity_residual_vanishes_on_gallery():
 
 
 def test_residual_report_fields_are_consistent():
-    R = sf.surface_product(1.0, 2.0)
-    rep = sf.weakly_einstein_residual(R, tol=1e-9)
-    assert rep.max_abs == pytest.approx(float(np.abs(rep.matrix).max()))
-    assert rep.relative == pytest.approx(rep.max_abs / max(1.0, sf.summary(R).normR2))
-    assert rep.tol == 1e-9
-    assert rep.passes == (rep.relative < 1e-9)
+    # at 1e-3, |R|^2 = 2e-5 is below 1: a max(1, |R|^2) floor would show here
+    for R in (sf.surface_product(1.0, 2.0), sf.surface_product(1e-3, 2e-3)):
+        rep = sf.weakly_einstein_residual(R, tol=1e-9)
+        assert rep.max_abs == pytest.approx(float(np.abs(rep.matrix).max()))
+        assert rep.relative == pytest.approx(rep.max_abs / sf.summary(R).normR2)
+        assert rep.tol == 1e-9
+        assert rep.passes == (rep.relative < 1e-9)
 
 
 def test_weakly_einstein_residual_known_matrix():
@@ -97,6 +98,41 @@ def test_einstein_residual_known_matrix():
     assert np.abs(rep.matrix - (rho - 0.25 * tau * np.eye(4))).max() < 1e-14
 
 
+def _loop_residuals(comp: np.ndarray) -> dict:
+    """Every residual's matrix built from the plain-loop oracles, with the
+    residual's degree in R."""
+    rho = loop_ricci(comp)
+    weak = loop_rcheck(comp) - 0.25 * loop_norm_r2(comp) * np.eye(4)
+    full = loop_identity_residual(comp)
+    return {
+        sf.identity_residual: (full, 2),
+        sf.weakly_einstein_residual: (weak, 2),
+        sf.einstein_residual: (rho - 0.25 * np.trace(rho) * np.eye(4), 1),
+        sf.reduced_identity_residual: (weak - full, 2),
+    }
+
+
+@pytest.mark.parametrize("s", (1e-9, 1.0, 1e9), ids=lambda s: f"{s:g}")
+def test_residual_kernels_match_loop_oracles(s):
+    rng = np.random.default_rng(41)
+    for seed in range(3):
+        R = sf.rotate(sf.random_curvature(seed), sf.random_frame(rng))
+        R = sf.make_curvature(s * R.comp)  # components of size about s
+        for residual, (oracle, degree) in _loop_residuals(R.comp).items():
+            err = np.abs(residual(R).matrix - oracle).max()
+            assert err < 1e-12 * s ** degree, residual.__name__
+
+
+def test_residuals_keep_no_state():
+    R = sf.random_curvature(5)
+    sf.identity_residual(R)
+    sf.einstein_residual(R)
+    sf.weakly_einstein_residual(R)
+    spec = sf.ricci_spectrum(R)
+    sf.forbidden_pattern(spec.eigenvalues, 1e-6)
+    assert list(vars(R)) == ["comp"]
+
+
 def test_reduced_identity_passes_iff_weakly_einstein():
     weakly = [sf.surface_product(1.0, -1.0), sf.gallery("example4", a=1.0)[0]]
     not_weakly = [sf.surface_product(1.0, 2.0), sf.space_form_product(1.0)]
@@ -127,6 +163,18 @@ def test_forbidden_pattern_rejects_non_matching_spectra():
     assert sf.forbidden_pattern([1.0, 1.0, 1.0, 1.0], 1e-6) is None
     with pytest.raises(ValueError):
         sf.forbidden_pattern([1.0, 2.0, 3.0], 1e-6)
+
+
+@pytest.mark.parametrize(
+    "s", (1e-12, 1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12), ids=lambda s: f"{s:g}"
+)
+def test_forbidden_pattern_is_scale_free(s):
+    # space_form_product(c) has Ricci eigenvalues (2c, 2c, 2c, 0)
+    for c, pattern in ((s, 1), (-s, 4)):
+        spec = sf.ricci_spectrum(_rotated(sf.space_form_product(c)), 1e-6)
+        assert sf.forbidden_pattern(spec.eigenvalues, 1e-6) == pattern
+    assert sf.forbidden_pattern(s * np.array([2.0, 2.0, 2.0, 1e-5]), 1e-6) is None
+    assert sf.forbidden_pattern(s * np.array([2.0, 2.0, 2.0, 1e-7]), 1e-6) == 1
 
 
 def test_forbidden_pattern_on_space_form_product():

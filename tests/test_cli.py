@@ -53,6 +53,11 @@ def test_check_reports_forbidden_pattern(capsys, tmp_path):
     assert code == 1
     assert rep["forbidden_pattern"] == 1
     assert rep["weakly_einstein_residual"]["matrix"][15] == pytest.approx(-3.0, abs=1e-10)
+    # the pattern is judged relative to the eigenvalues' size
+    for c, pattern in (("1e-9", 1), ("-1e-9", 4)):
+        code, rep, _ = run_json(capsys, "check", "--gallery", "example-spaceform", f"--c={c}")
+        assert code == 1
+        assert rep["forbidden_pattern"] == pattern
 
 
 def test_frame_on_group_example_file(capsys, tmp_path):
@@ -162,9 +167,10 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2 and "integer genus" in err
     # documents whose tensor fails a curvature identity are bad input too
     doc = tmp_path / "one-component.json"
-    doc.write_text('{"kind": "raw_curvature", "components": [[1, 2, 1, 2, -1.0]]}')
-    code, _, err = run(capsys, "check", "--input", str(doc))
-    assert code == 2 and str(doc) in err and "antisymmetry" in err
+    for value in ("-1.0", "-1e-12"):
+        doc.write_text(f'{{"kind": "raw_curvature", "components": [[1, 2, 1, 2, {value}]]}}')
+        code, _, err = run(capsys, "check", "--input", str(doc))
+        assert code == 2 and str(doc) in err and "antisymmetry" in err
     doc = tmp_path / "not-jacobi.json"
     doc.write_text('{"kind": "lie_group", "c": [[1, 2, 3, 1.0], [3, 4, 1, 1.0]]}')
     code, _, err = run(capsys, "check", "--input", str(doc))

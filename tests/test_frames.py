@@ -50,6 +50,16 @@ def test_sym_eigen_rejects_bad_input():
         sf.sym_eigen(np.full((4, 4), np.nan))
 
 
+@pytest.mark.parametrize("s", (1e-12, 1e-3, 1e6), ids=lambda s: f"{s:g}")
+def test_sym_eigen_symmetry_check_is_scale_free(s):
+    m = s * np.diag([4.0, 3.0, 2.0, 1.0])
+    m[0, 1] = 1e-9 * s
+    with pytest.raises(NoConvergence, match="symmetric"):
+        sf.sym_eigen(m)
+    eig, _ = sf.sym_eigen(np.zeros((4, 4)))
+    assert np.abs(eig).max() == 0.0
+
+
 # --- multiplicity patterns ----------------------------------------------------
 
 def test_multiplicity_pattern_tags():

@@ -25,14 +25,30 @@ def test_lie_algebra_rejects_non_antisymmetric_constants():
         sf.LieAlgebra4(c)
 
 
-def test_lie_algebra_rejects_jacobi_violation():
+def _non_jacobi_constants() -> np.ndarray:
     c = np.zeros((4, 4, 4))
     # [e1,e2]=e2, [e1,e3]=e3, [e2,e3]=e1 fails Jacobi on (e1,e2,e3)
     for (i, j, k) in ((0, 1, 1), (0, 2, 2), (1, 2, 0)):
         c[i, j, k] = 1.0
         c[j, i, k] = -1.0
+    return c
+
+
+def test_lie_algebra_rejects_jacobi_violation():
     with pytest.raises(JacobiViolation):
+        sf.LieAlgebra4(_non_jacobi_constants())
+
+
+@pytest.mark.parametrize("s", (1e-12, 1e-6, 1e6), ids=lambda s: f"{s:g}")
+def test_lie_algebra_checks_are_scale_free(s):
+    with pytest.raises(JacobiViolation, match="Jacobi"):
+        sf.LieAlgebra4(s * _non_jacobi_constants())
+    c = s * example4_algebra(1.0, 0.5).c.copy()
+    c[0, 1, 1] += 1e-8 * s  # c_ijk != -c_jik by 1e-8 of the size
+    with pytest.raises(JacobiViolation, match="c_ijk"):
         sf.LieAlgebra4(c)
+    sf.LieAlgebra4(s * example4_algebra(1.0, 0.5).c)
+    sf.LieAlgebra4(np.zeros((4, 4, 4)))
 
 
 def test_solvable_group_connection_coefficients():
@@ -249,13 +265,15 @@ def test_raw_curvature_with_symmetry_closure():
 
 
 def test_raw_curvature_without_closure_requires_full_orbit():
-    doc = {
-        "kind": "raw_curvature",
-        "components": [[1, 2, 1, 2, -1.0]],
-        "symmetry_closure": False,
-    }
-    with pytest.raises(sf.SymmetryViolation):
-        sf.realize(sf.load_spec(json.dumps(doc)))
+    # a lone R_1212 breaks the pair antisymmetries by all of its size, however small
+    for value in (-1.0, -1e-12):
+        doc = {
+            "kind": "raw_curvature",
+            "components": [[1, 2, 1, 2, value]],
+            "symmetry_closure": False,
+        }
+        with pytest.raises(sf.SymmetryViolation, match="antisymmetry"):
+            sf.realize(sf.load_spec(json.dumps(doc)))
 
 
 def test_gallery_round_trip_through_json():

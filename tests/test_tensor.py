@@ -56,6 +56,17 @@ def test_make_curvature_rejects_bianchi_violation():
     assert "Bianchi" in str(exc.value)
 
 
+@pytest.mark.parametrize("s", (1e-12, 1e-3, 1e6), ids=lambda s: f"{s:g}")
+def test_make_curvature_checks_are_scale_free(s):
+    comp = s * sf.random_curvature(2).comp
+    sf.make_curvature(comp)
+    bad = comp.copy()
+    bad[0, 1, 2, 3] += 1e-8 * s
+    with pytest.raises(SymmetryViolation):
+        sf.make_curvature(bad)
+    assert np.abs(sf.make_curvature(np.zeros((4, 4, 4, 4))).comp).max() == 0.0
+
+
 def test_projection_is_idempotent_and_fixes_valid_tensors():
     rng = np.random.default_rng(11)
     raw = rng.uniform(-1, 1, (4, 4, 4, 4))
