@@ -40,12 +40,12 @@ def _report(matrix: np.ndarray, norm: float, tol: float) -> ResidualReport:
 def _reduced_matrix(R: Curvature4) -> np.ndarray:
     """2 rho.rho + Lrho - tau rho - |rho|^2 g + (tau^2/4) g, with rho computed once."""
     rho = ricci(R)
-    tau = float(np.trace(rho))
+    tau = float(rho.trace())
     return (
         2.0 * (rho @ rho)
         + _lrho(R, rho)
         - tau * rho
-        - (float(np.sum(rho * rho)) - 0.25 * tau ** 2) * _EYE
+        - (float(np.vdot(rho, rho)) - 0.25 * tau ** 2) * _EYE
     )
 
 
@@ -69,7 +69,7 @@ def weakly_einstein_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> Residua
 def einstein_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Residual of rho = (tau/4) g; passing means Einstein."""
     rho = ricci(R)
-    matrix = rho - 0.25 * float(np.trace(rho)) * _EYE
+    matrix = rho - 0.25 * float(rho.trace()) * _EYE
     return _report(matrix, math.sqrt(np.vdot(R.comp, R.comp)), tol)
 
 

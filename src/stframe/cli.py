@@ -448,9 +448,10 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        volume = getattr(args, "volume", None)
-        if volume is not None and not 0 < volume < math.inf:
-            raise ValidationError("volume", "must be a positive finite number")
+        for field in ("volume", "tol", "tol_mult"):
+            value = getattr(args, field, None)
+            if value is not None and not 0 < value < math.inf:
+                raise ValidationError(field, "must be a positive finite number")
         return args.func(args)
     except (ParseError, ValidationError, UnknownGalleryName, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -77,11 +77,14 @@ def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, Frame4]:
 
     Returns eigenvalues sorted descending and the frame whose rows are the
     matching orthonormal eigenvectors, orientation-corrected to det +1.
+    max |M_ij| is computed once: it is the finiteness test (a NaN or an
+    infinite entry makes it non-finite) and the scale of the symmetry test.
     """
     M = np.asarray(M, dtype=float)
-    if M.shape != (4, 4) or not np.all(np.isfinite(M)):
+    scale = np.abs(M).max() if M.shape == (4, 4) else math.nan
+    if not scale < math.inf:
         raise NoConvergence("input must be a finite 4x4 matrix")
-    if np.abs(M - M.T).max() > 1e-12 * np.abs(M).max():
+    if np.abs(M - M.T).max() > 1e-12 * scale:
         raise NoConvergence("input matrix is not symmetric")
     try:
         eig, vecs = np.linalg.eigh(M)
@@ -111,37 +114,38 @@ class RicciSpectrum:
     pattern: MultiplicityPattern
 
 
-def multiplicity_pattern(eigenvalues, threshold: float) -> MultiplicityPattern:
-    """Group sorted eigenvalues by transitive closure of near-equality: two
-    neighbours are equal when they differ by at most threshold."""
-    lam = np.asarray(eigenvalues, dtype=float).tolist()
-    blocks: list[list[int]] = [[0]]
-    for i in range(1, 4):
-        if abs(lam[i] - lam[blocks[-1][-1]]) <= threshold:
+def _pattern_of_merges(merges: tuple[bool, bool, bool]) -> MultiplicityPattern:
+    """Pattern of a sorted spectrum whose neighbours k, k+1 are equal iff merges[k]."""
+    blocks = [[0]]
+    for i, merged in enumerate(merges, start=1):
+        if merged:
             blocks[-1].append(i)
         else:
             blocks.append([i])
-    sizes = sorted((len(b) for b in blocks), reverse=True)
-    tag = {(4,): "I", (2, 1, 1): "II", (2, 2): "III", (3, 1): "IV", (1, 1, 1, 1): "V"}[
-        tuple(sizes)
-    ]
-    # canonical slot assignment: repeated block first (pair for II/III, triple
+    sizes = tuple(sorted(map(len, blocks), reverse=True))
+    tag = {(4,): "I", (2, 1, 1): "II", (2, 2): "III", (3, 1): "IV", (1, 1, 1, 1): "V"}[sizes]
+    # canonical slot assignment: repeated block first (pair for II, triple
     # for IV), remaining eigenvalues keep their descending order
-    if tag == "II":
-        pair = next(b for b in blocks if len(b) == 2)
-        singles = [i for i in range(4) if i not in pair]
-        order = (*pair, *singles)
-    elif tag == "IV":
-        triple = next(b for b in blocks if len(b) == 3)
-        single = next(i for i in range(4) if i not in triple)
-        order = (*triple, single)
-    else:
-        order = (0, 1, 2, 3)
+    first = max(blocks, key=len) if tag in ("II", "IV") else []
     return MultiplicityPattern(
         tag=tag,
-        blocks=tuple(tuple(b) for b in blocks),
-        canonical_order=tuple(order),
+        blocks=tuple(map(tuple, blocks)),
+        canonical_order=(*first, *(i for i in range(4) if i not in first)),
     )
+
+
+#: the pattern of each of the eight combinations of neighbour merges
+_PATTERNS = {m: _pattern_of_merges(m) for m in itertools.product((False, True), repeat=3)}
+
+
+def multiplicity_pattern(eigenvalues, threshold: float) -> MultiplicityPattern:
+    """Group sorted eigenvalues by transitive closure of near-equality: two
+    neighbours are equal when they differ by at most threshold (never when
+    either is NaN).  The pattern depends only on the three neighbour
+    comparisons and is looked up in a table built at import."""
+    l0, l1, l2, l3 = np.asarray(eigenvalues, dtype=float).tolist()
+    t = threshold
+    return _PATTERNS[abs(l1 - l0) <= t, abs(l2 - l1) <= t, abs(l3 - l2) <= t]
 
 
 def ricci_spectrum(R: Curvature4, tol_mult: float = DEFAULT_TOL_MULT) -> RicciSpectrum:

@@ -52,16 +52,19 @@ class Curvature4:
 
 @dataclass(frozen=True)
 class Frame4:
-    """Orthonormal frame: rows are the new frame vectors in reference coordinates."""
+    """Orthonormal frame: rows are the new frame vectors in reference coordinates.
+
+    One reduction |m m^T - I| checks orthonormality and finiteness (a NaN or
+    an infinite entry makes the diagonal of m m^T non-finite)."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        if m.shape != (DIM, DIM) or not np.all(np.isfinite(m)):
-            raise FrameNotOrthogonal("frame must be a finite 4x4 matrix")
-        err = np.abs(m @ m.T - _EYE).max()
-        if err > _FRAME_TOL * 10:
+        err = np.abs(m @ m.T - _EYE).max() if m.shape == (DIM, DIM) else np.nan
+        if not err <= _FRAME_TOL * 10:
+            if m.shape != (DIM, DIM) or not np.isfinite(m).all():
+                raise FrameNotOrthogonal("frame must be a finite 4x4 matrix")
             raise FrameNotOrthogonal(f"frame not orthogonal: |F F^T - I| = {err:.3e}")
         object.__setattr__(self, "matrix", _frozen(m))
 
@@ -149,10 +152,17 @@ def project_to_curvature(raw: np.ndarray) -> Curvature4:
     return Curvature4(t)
 
 
+#: (16, 256) map from the flat components to the flat Ricci tensor, already
+#: symmetrized, 0.5 (R_aija + R_ajia): rows (i, j) and (j, i) are equal
+_RICCI = _frozen(0.5 * (
+    np.einsum("ad,bi,cj->ijabcd", _EYE, _EYE, _EYE)
+    + np.einsum("ad,bj,ci->ijabcd", _EYE, _EYE, _EYE)
+).reshape(16, 256))
+
+
 def ricci(R: Curvature4) -> np.ndarray:
     """Ricci tensor, contraction rho_ij = sum_a R_aija (symmetric 4x4 matrix)."""
-    rho = np.einsum("aija->ij", R.comp)
-    return 0.5 * (rho + rho.T)
+    return (_RICCI @ R.comp.reshape(256)).reshape(DIM, DIM)
 
 
 def _rcheck(R: Curvature4) -> np.ndarray:
@@ -162,10 +172,9 @@ def _rcheck(R: Curvature4) -> np.ndarray:
 
 
 def _lrho(R: Curvature4, rho: np.ndarray) -> np.ndarray:
-    """(Lrho)_ij = 2 sum_ab R_iabj rho_ab: one (16, 16) @ (16,) product on the
-    components ordered (i, j, a, b), symmetrized."""
-    lrho = R.comp.transpose(0, 3, 1, 2).reshape(16, 16) @ (2.0 * rho.reshape(16))
-    lrho = lrho.reshape(DIM, DIM)
+    """(Lrho)_ij = 2 sum_ab R_iabj rho_ab: one batched (16,) @ (4, 16, 4)
+    product on the components as they lie, symmetrized."""
+    lrho = (2.0 * rho).reshape(16) @ R.comp.reshape(DIM, 16, DIM)
     return 0.5 * (lrho + lrho.T)
 
 

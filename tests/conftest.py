@@ -7,6 +7,8 @@ test expectations are computed by a second, independent code path.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,28 @@ def loop_rotate(comp: np.ndarray, m: np.ndarray) -> np.ndarray:
                         for d in range(4)
                     )
     return out
+
+
+# --- exact oracle ----------------------------------------------------------------
+
+def exact_lie_group_residuals(c) -> tuple[np.ndarray, np.ndarray]:
+    """Exact weakly-Einstein and Einstein residual matrices
+    (Rcheck - |R|^2/4 g, rho - tau/4 g) of the left-invariant metric whose
+    orthonormal frame has the rational structure constants c: the Koszul
+    formula of lie_group_curvature run on fractions.Fraction object arrays."""
+    c = np.array(c, dtype=object) + Fraction(0)
+    gamma = (c - c.transpose(2, 0, 1) + c.transpose(1, 2, 0)) * Fraction(1, 2)
+    comp = (
+        np.einsum("jkm,iml->ijkl", gamma, gamma)
+        - np.einsum("ikm,jml->ijkl", gamma, gamma)
+        - np.einsum("ijm,mkl->ijkl", c, gamma)
+    )
+    m = comp.reshape(64, 4)
+    norm_r2 = sum(x * x for x in comp.flat)
+    rho = np.einsum("aija->ij", comp)
+    tau = sum(rho.diagonal())
+    eye = np.eye(4, dtype=int).astype(object)
+    return m.T @ m - eye * (norm_r2 / 4), rho - eye * (tau / 4)
 
 
 # --- frozen tensor fixtures ---------------------------------------------------

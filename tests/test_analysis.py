@@ -1,12 +1,15 @@
 """Universal identity, Einstein / weakly-Einstein residuals and forbidden
 Ricci-eigenvalue patterns."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 import stframe as sf
+from stframe.sources import example4_algebra
 
-from conftest import loop_lrho, loop_norm_r2, loop_rcheck, loop_ricci
+from conftest import exact_lie_group_residuals, loop_lrho, loop_norm_r2, loop_rcheck, loop_ricci
 
 
 def loop_identity_residual(comp: np.ndarray) -> np.ndarray:
@@ -184,3 +187,78 @@ def test_forbidden_pattern_on_space_form_product():
     rep = sf.weakly_einstein_residual(R)
     assert rep.matrix[3, 3] == pytest.approx(-3.0, abs=1e-10)
     assert not rep.passes
+
+
+# --- exact verdicts on rational Lie algebras ----------------------------------
+
+def _semidirect_constants(A) -> np.ndarray:
+    """Structure constants of R x_A R^3: [e1, e_k] = sum_l A_lk e_l (k, l = 2..4),
+    a Lie algebra for every 3x3 matrix A."""
+    c = np.full((4, 4, 4), Fraction(0), dtype=object)
+    c[0, 1:, 1:] = np.array(A, dtype=object).T
+    c[1:, 0, 1:] = -c[0, 1:, 1:]
+    return c
+
+
+def _example4_matrix(a, b):
+    return [[a, 0, 0], [0, -a, b], [0, -b, -a]]
+
+
+def _seeded_semidirect_matrices(seed: int, count: int):
+    """Rational A of three kinds: generic; lambda I + skew (hyperbolic
+    space, Einstein); a diagonal entry plus a rotation-scaling block.  Each
+    is scaled by 10^k, k in -3..3."""
+    rng = np.random.default_rng(seed)
+
+    def q():
+        return Fraction(int(rng.integers(-4, 5)), int(rng.integers(1, 5)))
+
+    for n in range(count):
+        kind = n % 3
+        if kind == 0:
+            A = [[q() for _ in range(3)] for _ in range(3)]
+        elif kind == 1:
+            lam, x, y, z = q(), q(), q(), q()
+            A = [[lam, x, y], [-x, lam, z], [-y, -z, lam]]
+        else:
+            a, b, d = q(), q(), q()
+            A = [[a, 0, 0], [0, d, b], [0, -b, d]]
+        s = Fraction(10) ** int(rng.integers(-3, 4))
+        yield [[s * x for x in row] for row in A]
+
+
+def _float_and_exact_verdicts(c_exact, c_float):
+    R = sf.lie_group_curvature(sf.LieAlgebra4(c_float))[1]
+    weak, einstein = sf.weakly_einstein_residual(R), sf.einstein_residual(R)
+    exact_weak, exact_einstein = exact_lie_group_residuals(c_exact)
+    # the float matrices agree with the exact ones to rounding
+    norm_r2 = float(np.vdot(R.comp, R.comp))
+    assert np.abs(weak.matrix - exact_weak.astype(float)).max() <= 1e-12 * norm_r2
+    assert np.abs(einstein.matrix - exact_einstein.astype(float)).max() <= 1e-12 * norm_r2 ** 0.5
+    return (weak.passes, einstein.passes), (not any(exact_weak.flat), not any(exact_einstein.flat))
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [(Fraction(1), Fraction(1, 2)), (Fraction(2), Fraction(-1, 3)), (Fraction(1, 3), Fraction(5, 7)),
+     (Fraction(-3, 2), Fraction(0)), (Fraction(0), Fraction(1))],
+    ids=str,
+)
+def test_example4_verdicts_match_exact_oracle(a, b):
+    c_exact = _semidirect_constants(_example4_matrix(a, b))
+    c_float = example4_algebra(float(a), float(b)).c
+    assert np.array_equal(c_float, c_exact.astype(float))
+    float_verdicts, exact_verdicts = _float_and_exact_verdicts(c_exact, c_float)
+    assert float_verdicts == exact_verdicts
+    assert exact_verdicts == (True, a == 0)  # weakly Einstein; Einstein only when flat
+
+
+def test_semidirect_verdicts_match_exact_oracle():
+    seen = set()
+    for A in _seeded_semidirect_matrices(seed=11, count=24):
+        c_exact = _semidirect_constants(A)
+        float_verdicts, exact_verdicts = _float_and_exact_verdicts(c_exact, c_exact.astype(float))
+        assert float_verdicts == exact_verdicts, A
+        seen.add(exact_verdicts)
+    # the set holds Einstein, weakly-only and neither
+    assert seen == {(True, True), (True, False), (False, False)}

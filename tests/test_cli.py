@@ -161,6 +161,18 @@ def test_usage_errors_exit_two(capsys, tmp_path):
             "--json", "-",
         )
         assert code == 2 and "volume" in err and out == ""
+    # a tolerance that is not a positive finite number makes every verdict vacuous
+    for flag, value in (("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"),
+                        ("--tol-mult", "-1"), ("--tol-mult", "inf")):
+        code, out, err = run(
+            capsys, "check", "--gallery", "example4", "--a", "1", "--b", "0.5", flag, value,
+            "--json", "-",
+        )
+        field = flag[2:].replace("-", "_")
+        assert code == 2 and out == ""
+        assert f"invalid field '{field}': must be a positive finite number" in err
+    code, out, err = run(capsys, "fuzz", "--count", "5", "--tol", "-1")
+    assert code == 2 and "'tol'" in err and out == ""
     doc = tmp_path / "genus.json"
     doc.write_text('{"kind": "gallery", "name": "example6", "m": 2.5}')
     code, _, err = run(capsys, "invariants", "--input", str(doc))

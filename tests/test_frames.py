@@ -48,6 +48,14 @@ def test_sym_eigen_rejects_bad_input():
         sf.sym_eigen(np.arange(16.0).reshape(4, 4))
     with pytest.raises(NoConvergence):
         sf.sym_eigen(np.full((4, 4), np.nan))
+    # max |M_ij| is both the finiteness test and the symmetry scale
+    for bad in (np.nan, np.inf, -np.inf):
+        m = np.diag([4.0, 3.0, 2.0, 1.0])
+        m[1, 2] = m[2, 1] = bad
+        with pytest.raises(NoConvergence, match="finite"):
+            sf.sym_eigen(m)
+    with pytest.raises(NoConvergence, match="finite"):
+        sf.sym_eigen(np.eye(3))
 
 
 @pytest.mark.parametrize("s", (1e-12, 1e-3, 1e6), ids=lambda s: f"{s:g}")
@@ -72,6 +80,60 @@ def test_multiplicity_pattern_tags():
     }
     for lam, tag in cases.items():
         assert sf.multiplicity_pattern(lam, 1e-6).tag == tag
+
+
+def loop_multiplicity_pattern(lam, threshold):
+    """Transitive closure of near-equality over a sorted spectrum, one
+    eigenvalue at a time: (tag, blocks, canonical_order)."""
+    blocks = [[0]]
+    for i in range(1, 4):
+        if abs(lam[i] - lam[blocks[-1][-1]]) <= threshold:
+            blocks[-1].append(i)
+        else:
+            blocks.append([i])
+    sizes = tuple(sorted((len(b) for b in blocks), reverse=True))
+    tag = {(4,): "I", (2, 1, 1): "II", (2, 2): "III", (3, 1): "IV", (1, 1, 1, 1): "V"}[sizes]
+    if tag == "II":
+        pair = next(b for b in blocks if len(b) == 2)
+        order = (*pair, *(i for i in range(4) if i not in pair))
+    elif tag == "IV":
+        triple = next(b for b in blocks if len(b) == 3)
+        order = (*triple, *(i for i in range(4) if i not in triple))
+    else:
+        order = (0, 1, 2, 3)
+    return tag, tuple(map(tuple, blocks)), order
+
+
+def _pattern_fields(p):
+    return p.tag, p.blocks, p.canonical_order
+
+
+def test_multiplicity_pattern_matches_loop_oracle():
+    t = 1e-6
+    # all eight combinations of merged neighbours
+    for merges in itertools.product((False, True), repeat=3):
+        lam = [2.0]
+        for merged in merges:
+            lam.append(lam[-1] - (0.5 * t if merged else 1e3 * t))
+        expected = loop_multiplicity_pattern(lam, t)
+        assert _pattern_fields(sf.multiplicity_pattern(lam, t)) == expected, merges
+    # a gap exactly equal to the threshold merges
+    lam = (4.0, 3.0, 1.0, 0.0)
+    assert _pattern_fields(sf.multiplicity_pattern(lam, 1.0)) == (
+        loop_multiplicity_pattern(lam, 1.0)
+    )
+    assert sf.multiplicity_pattern(lam, 1.0).tag == "III"
+    # a NaN eigenvalue is equal to nothing
+    for lam in ((3.0, math.nan, 1.0, 1.0), (math.nan, 1.0, 1.0, 1.0), (1.0, 1.0, 1.0, math.nan)):
+        p = sf.multiplicity_pattern(lam, 1e-6)
+        assert _pattern_fields(p) == loop_multiplicity_pattern(lam, 1e-6), lam
+    # seeded spectra with gaps on both sides of the threshold
+    rng = np.random.default_rng(8)
+    for _ in range(200):
+        lam = np.cumsum(-rng.choice((0.0, 0.4, 1.0, 1.7), size=4)) + rng.normal()
+        assert _pattern_fields(sf.multiplicity_pattern(lam, 1.0)) == (
+            loop_multiplicity_pattern(lam.tolist(), 1.0)
+        )
 
 
 def test_multiplicity_pattern_canonical_order_moves_pair_first():

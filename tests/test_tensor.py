@@ -148,8 +148,21 @@ def test_rotation_preserves_scalar_invariants():
 def test_frame_rejects_non_orthogonal_matrix():
     with pytest.raises(FrameNotOrthogonal):
         sf.Frame4(np.ones((4, 4)))
-    with pytest.raises(FrameNotOrthogonal):
+    with pytest.raises(FrameNotOrthogonal, match="finite 4x4"):
         sf.Frame4(np.eye(3))
+    # finiteness is read off |m m^T - I|: every non-finite entry must show
+    # there (an infinite one meets zeros in the product, numpy's invalid flag)
+    for bad in (np.nan, np.inf, -np.inf):
+        for pos in ((0, 0), (2, 3)):
+            m = np.eye(4)
+            m[pos] = bad
+            with np.errstate(invalid="ignore"), pytest.raises(
+                FrameNotOrthogonal, match="finite 4x4"
+            ):
+                sf.Frame4(m)
+    # finite entries whose products overflow are not orthonormal, not non-finite
+    with np.errstate(over="ignore"), pytest.raises(FrameNotOrthogonal, match="not orthogonal"):
+        sf.Frame4(np.full((4, 4), 1e200))
 
 
 def test_random_frame_is_special_orthogonal():
