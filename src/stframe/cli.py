@@ -29,7 +29,7 @@ from .errors import (
 )
 from .frames import SIGN_CASES, find_st_basis, ricci_spectrum
 from .sources import GALLERY_NAMES, gallery, load_spec, random_curvature, realize
-from .topology import f_value, invariants_from_vectors, st_vectors
+from .topology import f_value, invariants_from_vectors, vectors_from_components
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -37,6 +37,10 @@ EXIT_USAGE = 2
 EXIT_SEARCH = 3
 
 _GALLERY_PARAM_FLAGS = ("c1", "c2", "c", "a", "b", "m")
+
+#: supported range of a tensor's scale max |R_ijkl|: inside it |R|^2 and the
+#: sums of squared components the residuals take stay normal floats
+SCALE_RANGE = (1e-140, 1e140)
 
 #: parameter grid used by `gallery --all`
 GALLERY_SUITE = (
@@ -107,7 +111,8 @@ def _gallery_params(args) -> dict:
 def _load_tensor(args):
     """The tensor and its metadata; --volume, when given, is meta["volume"]."""
     if args.gallery is not None:
-        R, meta = gallery(args.gallery, **_gallery_params(args))
+        load = functools.partial(gallery, args.gallery, **_gallery_params(args))
+        R, meta = _checked_tensor(args.gallery, load)
     elif args.input is None:
         raise ValidationError("input", "either --input FILE or --gallery NAME required")
     else:
@@ -116,12 +121,24 @@ def _load_tensor(args):
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as e:
             raise ValidationError("input", f"cannot read {args.input}: {e}") from e
-        try:
-            R, meta = realize(load_spec(text))
-        except (SymmetryViolation, JacobiViolation) as e:
-            raise ValidationError("input", f"{args.input}: {e}") from e
+        R, meta = _checked_tensor(args.input, lambda: realize(load_spec(text)))
     if args.volume is not None:
         meta = dict(meta, volume=args.volume)
+    return R, meta
+
+
+def _checked_tensor(source: str, load):
+    """load(), with a tensor that fails a curvature identity or whose scale
+    lies outside SCALE_RANGE reported as bad input from source."""
+    try:
+        R, meta = load()
+    except (SymmetryViolation, JacobiViolation) as e:
+        raise ValidationError("input", f"{source}: {e}") from e
+    lo, hi = SCALE_RANGE
+    if not lo <= R.scale <= hi:
+        raise ValidationError(
+            "input", f"{source}: max |R_ijkl| = {R.scale:.3e} lies outside [{lo:g}, {hi:g}]"
+        )
     return R, meta
 
 
@@ -245,9 +262,9 @@ def _cmd_invariants(args) -> int:
         }
         _emit(report, args)
         return EXIT_VERDICT
-    vec = st_vectors(R, st.frame)
+    vec = vectors_from_components(st.components, R.scale)
     inv = invariants_from_vectors(vec, R.scale, volume)
-    # classify_sign_cases checked each case's eigenvalue relation against
+    # find_st_basis checked each case's eigenvalue relation against
     # the scale of R; f_by_case would check it against the eigenvalues alone
     f_cases = {
         case: float(SIGN_CASES[case].f(*st.sign_cases.eigenvalues))
@@ -317,7 +334,7 @@ def _cmd_fuzz(args) -> int:
 
 def _gallery_diff(name: str, params: dict, tol: float, tol_mult: float) -> dict:
     """Run the full pipeline on one gallery entry and diff against metadata."""
-    R, meta = gallery(name, **params)
+    R, meta = _checked_tensor(name, functools.partial(gallery, name, **params))
     mismatches = []
     spec = ricci_spectrum(R, tol_mult)
     expected_eig = np.asarray(meta["eigenvalues"], dtype=float)
@@ -345,7 +362,7 @@ def _gallery_diff(name: str, params: dict, tol: float, tol_mult: float) -> dict:
         entry["sign_cases"] = list(st.sign_cases.cases)
         if meta.get("cases") and not set(meta["cases"]) <= set(st.sign_cases.cases):
             mismatches.append("cases")
-        vec = st_vectors(R, st.frame)
+        vec = vectors_from_components(st.components, R.scale)
         f = f_value(vec)
         entry["f"] = f
         if "f" in meta and abs(f - meta["f"]) > 1e-8 * R.scale ** 2:
@@ -452,6 +469,10 @@ def main(argv=None) -> int:
             value = getattr(args, field, None)
             if value is not None and not 0 < value < math.inf:
                 raise ValidationError(field, "must be a positive finite number")
+        for field in _GALLERY_PARAM_FLAGS:
+            value = getattr(args, field, None)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(field, "must be a finite number")
         return args.func(args)
     except (ParseError, ValidationError, UnknownGalleryName, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

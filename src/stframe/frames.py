@@ -1,17 +1,18 @@
 """Ricci eigenframes, multiplicity patterns, sign-case classification and the
 generalized Singer-Thorpe basis search.
 
-The search is two closed paths.  When the four Ricci eigenvalues are apart
-(pattern V) the Ricci eigenbasis (LAPACK eigh) is tried first; otherwise, or
-when it misses, the frame is read off the curvature operator on Lambda^2 =
-Lambda+ + Lambda-: the singular vectors of its Lambda+ x Lambda- block, made
-unique inside the cluster of equal singular values that the Ricci
-multiplicity pattern names by eigh of the diagonal blocks, give the frame's
-self-dual and anti-self-dual bases, and so the frame.  A frame is accepted
-when its dimensionless penalty is below PENALTY_TOLERANCE; every other
-tolerance is relative to the tensor's scale max |R_ijkl|.  st_components
-rotates a tensor into a found frame and checks its penalty on that one
-array; the sign cases and the ST vectors are read from it.
+The search builds one frame, chosen by the Ricci multiplicity pattern.  In an
+ST frame every mixed component R_ijjk vanishes, so the Ricci tensor is
+diagonal there: when the four Ricci eigenvalues are apart (pattern V) the
+Ricci eigenbasis (LAPACK eigh) is the frame.  Otherwise the frame is read off
+the curvature operator on Lambda^2 = Lambda+ + Lambda-: the singular vectors
+of its Lambda+ x Lambda- block, made unique inside the cluster of equal
+singular values that the pattern names by eigh of the diagonal blocks, give
+the frame's self-dual and anti-self-dual bases, and so the frame.  The tensor
+is rotated into that frame once; the penalty, the sign cases and the ST
+vectors are all read from that one array.  A frame is accepted when its
+dimensionless penalty is below PENALTY_TOLERANCE; every other tolerance is
+relative to the tensor's scale max |R_ijkl|.
 generic_st_fallback, a penalty minimizer over SO(4), is not part of the
 search; it checks infeasibility: on a tensor with no frame its best penalty
 stays far above the tolerance.  trig_fit_extremum maximizes a trigonometric
@@ -42,6 +43,10 @@ DEFAULT_TOL_MULT = 1e-6
 
 #: a frame is a generalized Singer-Thorpe frame when its st_penalty is below this
 PENALTY_TOLERANCE = 1e-16
+
+#: relative tolerance (times the scale) of the sign tests R'_ijij = eps R'_klkl
+#: and of the sign cases' Ricci-eigenvalue relations
+SIGN_TOLERANCE = 1e-8
 
 #: ordered (i, j, k) index triples of the 24 mixed components R_ijjk (i != k)
 MIXED_TRIPLES = tuple(
@@ -264,7 +269,6 @@ class SignCaseSet:
     """Sign cases admitted by a generalized Singer-Thorpe frame."""
 
     cases: tuple[str, ...]
-    epsilons: dict
     eigenvalues: np.ndarray
     relation_residuals: dict
 
@@ -324,51 +328,46 @@ SIGN_CASES = {
 }
 
 
-def classify_sign_cases(
-    R: Curvature4, F: Frame4, tol: float = 1e-8
-) -> SignCaseSet:
-    """Admissible sign patterns relating opposite-plane components in an ST frame.
-
-    For each plane pair, a sign eps is admissible when
-    |R'_ijij - eps R'_klkl| <= tol*scale; both signs are admissible when both
-    components vanish.  A case whose signs are admissible but whose
-    eigenvalue relation misses tol*scale is dropped; CaseRelationViolated
-    when no case is left.
-    """
-    scale = R.scale
-    comp = st_components(R, F)
+def _sign_cases(comp: np.ndarray, scale: float) -> SignCaseSet:
+    """Sign cases read off the components of a tensor in an ST frame."""
+    tol = SIGN_TOLERANCE * scale
     lam = np.einsum("aija->ij", comp).diagonal().copy()
     epsilons_per_pair = []
     for (i, j), (k, l) in PLANE_PAIRS:
         a, b = comp[i, j, i, j], comp[k, l, k, l]
-        signs = [e for e in (1, -1) if abs(a - e * b) <= tol * scale]
+        signs = [e for e in (1, -1) if abs(a - e * b) <= tol]
         if not signs:
             raise NotSTFrame(
                 f"no admissible sign for plane pair {(i + 1, j + 1)}/{(k + 1, l + 1)}"
             )
         epsilons_per_pair.append(signs)
     cases = []
-    epsilons = {}
     residuals = {}
     for case, (signs, relation, _) in SIGN_CASES.items():
         if not all(e in admissible for e, admissible in zip(signs, epsilons_per_pair)):
             continue
         resid = relation(*lam)
-        if resid > tol * scale:
+        if resid > tol:
             continue
         cases.append(case)
-        epsilons[case] = signs
         residuals[case] = resid
     if not cases:
         raise CaseRelationViolated(
             "no admissible sign case satisfies its eigenvalue relation"
         )
-    return SignCaseSet(
-        cases=tuple(cases),
-        epsilons=epsilons,
-        eigenvalues=lam,
-        relation_residuals=residuals,
-    )
+    return SignCaseSet(cases=tuple(cases), eigenvalues=lam, relation_residuals=residuals)
+
+
+def classify_sign_cases(R: Curvature4, F: Frame4) -> SignCaseSet:
+    """Admissible sign patterns relating opposite-plane components in an ST frame.
+
+    For each plane pair, a sign eps is admissible when
+    |R'_ijij - eps R'_klkl| <= SIGN_TOLERANCE*scale; both signs are
+    admissible when both components vanish.  A case whose signs are
+    admissible but whose eigenvalue relation misses SIGN_TOLERANCE*scale is
+    dropped; CaseRelationViolated when no case is left.
+    """
+    return _sign_cases(st_components(R, F), R.scale)
 
 
 # --- constructive search -----------------------------------------------------
@@ -380,6 +379,8 @@ class STReport:
     construction_path: str
     sign_cases: SignCaseSet
     eigen: RicciSpectrum
+    #: R in frame, read-only: the one array penalty and sign_cases were read from
+    components: np.ndarray
 
 
 def _wedge(p: int, q: int) -> np.ndarray:
@@ -422,7 +423,8 @@ def _closed_form_frame(R: Curvature4, spectrum: RicciSpectrum) -> Frame4:
     cluster, one common eigenbasis of A - C (there C = -A) inside a nonzero
     one.  Then Omega_i = (omega'+_i + omega'-_i) / sqrt 2 = e0 ^ ei, e0 is
     the top eigenvector of sum Omega_i Omega_i^T and ei = -Omega_i e0.  The
-    rows are ordered as the spectrum's canonical eigenframe.
+    rows are ordered as the spectrum's canonical eigenframe, with e3 and e4
+    swapped when that makes the orientation -1.
     """
     M = 0.25 * _LAMBDA_PM @ R.comp.reshape(16, 16) @ _LAMBDA_PM.T
     A, B, C = M[:3, :3], M[:3, 3:], M[3:, 3:]
@@ -452,8 +454,11 @@ def _closed_form_frame(R: Curvature4, spectrum: RicciSpectrum) -> Frame4:
     e0 = np.linalg.eigh(np.einsum("iab,icb->ac", omega, omega))[1][:, -1]
     rows = np.vstack([e0, -omega @ e0])
     diag = np.einsum("ia,ab,ib->i", rows, ricci(R), rows)
-    rows = rows[np.argsort(-diag, kind="stable")]
-    return Frame4(rows[list(spectrum.pattern.canonical_order)])
+    rows = rows[np.argsort(-diag, kind="stable")][list(spectrum.pattern.canonical_order)]
+    if np.linalg.det(rows) < 0:
+        # swapping e3 and e4 permutes the penalty's terms: an ST frame stays one
+        rows = rows[[0, 1, 3, 2]]
+    return Frame4(rows)
 
 
 # --- generic fallback --------------------------------------------------------
@@ -533,39 +538,34 @@ def find_st_basis(
     tol: float = 1e-9,
     tol_mult: float = DEFAULT_TOL_MULT,
 ) -> STReport:
-    """Find a generalized Singer-Thorpe frame of a weakly-Einstein tensor.
+    """Find an oriented generalized Singer-Thorpe frame of a weakly-Einstein tensor.
 
-    The construction path is "direct-eigenbasis" (tried for pattern V only)
-    or "closed-form", the first whose frame has a penalty below
-    PENALTY_TOLERANCE.  Raises NotWeaklyEinstein when the precondition fails
-    and SearchFailed, carrying the penalty of each path tried, when no path
-    reaches it.
+    The construction path is "direct-eigenbasis" for pattern V and
+    "closed-form" for every other pattern.  Raises NotWeaklyEinstein when the
+    precondition fails and SearchFailed, carrying the path's penalty, when
+    the frame's penalty is not below PENALTY_TOLERANCE.
     """
     wres = weakly_einstein_residual(R, tol)
     if not wres.passes:
         raise NotWeaklyEinstein(wres)
     spectrum = ricci_spectrum(R, tol_mult)
 
-    # the Ricci eigenframe is unique, and accurate, only when the eigenvalues
-    # are apart (pattern V), and there it is an ST frame for most inputs;
-    # otherwise the closed form on Lambda+ + Lambda- gives one
-    penalties = {}
+    # rho is diagonal in an ST frame, so when the Ricci eigenvalues are apart
+    # (pattern V) the eigenframe is one; a repeated eigenvalue leaves the
+    # eigenframe free inside its eigenspace, and the closed form picks it
     if spectrum.pattern.tag == "V":
         frame, path = spectrum.frame, "direct-eigenbasis"
-        penalties[path] = st_penalty(R, frame)
-    if not penalties or penalties[path] >= PENALTY_TOLERANCE:
+    else:
         frame, path = _closed_form_frame(R, spectrum), "closed-form"
-        penalties[path] = st_penalty(R, frame)
-        if penalties[path] >= PENALTY_TOLERANCE:
-            raise SearchFailed(min(penalties.values()), penalties)
-
-    if frame.orientation < 0:
-        # swapping e3 and e4 permutes the penalty's terms: it stays the same
-        frame = Frame4(frame.matrix[[0, 1, 3, 2]])
+    comp = rotate(R, frame).comp
+    penalty = _penalty_of_components(comp, R.scale)
+    if penalty >= PENALTY_TOLERANCE:
+        raise SearchFailed(penalty, {path: penalty})
     return STReport(
         frame=frame,
-        penalty=penalties[path],
+        penalty=penalty,
         construction_path=path,
-        sign_cases=classify_sign_cases(R, frame),
+        sign_cases=_sign_cases(comp, R.scale),
         eigen=spectrum,
+        components=comp,
     )

@@ -191,7 +191,7 @@ def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
             "weakly_einstein": True,
             "einstein": c == 0.0,
             "cases": ["ii", "vi", "vii", "viii"] if c != 0.0 else None,
-            "f": -(c ** 2) if c != 0 else 0.0,
+            "f": -(c * c) if c != 0 else 0.0,
         }
         return surface_product(c, -c), meta
     if name == "example4":

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CaseRelationViolated, OrientationReversed, SymmetryViolation
-from .frames import SIGN_CASES, st_components
+from .frames import SIGN_CASES, SIGN_TOLERANCE, st_components
 from .tensor import Curvature4, Frame4
 
 
@@ -51,14 +51,19 @@ def st_vectors(R: Curvature4, F: Frame4) -> STVectors:
     """
     if F.orientation < 0:
         raise OrientationReversed("b is only defined in a det +1 frame")
-    c = st_components(R, F)
+    return vectors_from_components(st_components(R, F), R.scale)
+
+
+def vectors_from_components(c: np.ndarray, scale: float) -> STVectors:
+    """st_vectors from the components c of a tensor of tolerance scale
+    R.scale in an oriented ST frame, such as STReport.components."""
     v = STVectors(
         a_prime=np.array([c[0, 1, 0, 1], c[0, 2, 0, 2], c[0, 3, 0, 3]]),
         a_dprime=np.array([c[2, 3, 2, 3], c[1, 3, 1, 3], c[1, 2, 1, 2]]),
         b=np.array([c[0, 1, 2, 3], c[0, 2, 3, 1], c[0, 3, 1, 2]]),
     )
     bianchi = abs(float(v.b.sum()))
-    if bianchi > 1e-10 * R.scale:
+    if bianchi > 1e-10 * scale:
         # b1 + b2 + b3 is the Bianchi sum at index (0, 1, 2, 3)
         raise SymmetryViolation("first Bianchi identity", (0, 1, 2, 3), bianchi)
     return v
@@ -69,11 +74,12 @@ def f_value(v: STVectors) -> float:
     return float(v.a @ v.a - v.a_prime @ v.a_prime)
 
 
-def f_by_case(eigenvalues, case: str, tol: float = 1e-8) -> float:
+def f_by_case(eigenvalues, case: str) -> float:
     """Closed-form f from the Ricci eigenvalues of the eight sign cases.
 
     The eigenvalues must be ordered as in the classifying frame; the case's
-    eigenvalue relation is checked (CaseRelationViolated otherwise).
+    eigenvalue relation is checked to SIGN_TOLERANCE (CaseRelationViolated
+    otherwise).
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (4,):
@@ -81,7 +87,7 @@ def f_by_case(eigenvalues, case: str, tol: float = 1e-8) -> float:
     if case not in SIGN_CASES:
         raise ValueError(f"unknown sign case {case!r}")
     scale = max(1.0, float(np.abs(lam).max()))
-    if SIGN_CASES[case].relation(*lam) > tol * scale:
+    if SIGN_CASES[case].relation(*lam) > SIGN_TOLERANCE * scale:
         raise CaseRelationViolated(
             f"eigenvalues violate the relation of case ({case})"
         )
@@ -97,7 +103,7 @@ def densities(v: STVectors) -> tuple[float, float]:
 
 
 def homogeneous_invariants(
-    R: Curvature4, F: Frame4, volume: float | None = None, tol: float = 1e-9
+    R: Curvature4, F: Frame4, volume: float | None = None
 ) -> InvariantReport:
     """Closed-form invariants for a constant-curvature-field input.
 
@@ -105,14 +111,15 @@ def homogeneous_invariants(
     C = f * volume / (2 pi^2), both Theorem-C bound flags 2 chi +- p1 >= C and
     the Hitchin flag 2 chi >= 3 |sigma| with sigma = p1 / 3.
     """
-    return invariants_from_vectors(st_vectors(R, F), R.scale, volume, tol)
+    return invariants_from_vectors(st_vectors(R, F), R.scale, volume)
 
 
 def invariants_from_vectors(
-    v: STVectors, scale: float, volume: float | None = None, tol: float = 1e-9
+    v: STVectors, scale: float, volume: float | None = None
 ) -> InvariantReport:
     """homogeneous_invariants from ST vectors already read off the frame;
-    scale is the tensor's tolerance scale R.scale."""
+    scale is the tensor's tolerance scale R.scale, and the bound flags allow
+    a slack of 1e-9 * scale^2 * volume."""
     chi_d, p1_d = densities(v)
     f = f_value(v)
     if volume is None:
@@ -122,7 +129,7 @@ def invariants_from_vectors(
     chi = chi_d * volume
     p1 = p1_d * volume
     C = f * volume / (2 * math.pi ** 2)
-    slack = tol * scale ** 2 * volume
+    slack = 1e-9 * scale ** 2 * volume
     return InvariantReport(
         chi_density=chi_d,
         p1_density=p1_d,

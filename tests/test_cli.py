@@ -1,10 +1,15 @@
 """Command-line interface: subcommands, exit codes, JSON reports."""
 
 import json
+import sys
 
+import numpy as np
 import pytest
 
+import stframe as sf
 from stframe.cli import main
+
+from conftest import st_construction
 
 
 def run(capsys, *argv):
@@ -187,6 +192,28 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     doc.write_text('{"kind": "lie_group", "c": [[1, 2, 3, 1.0], [3, 4, 1, 1.0]]}')
     code, _, err = run(capsys, "check", "--input", str(doc))
     assert code == 2 and str(doc) in err and "Jacobi" in err
+    # gallery parameters that are not finite, or that put the tensor's scale
+    # outside the supported range, are bad input too
+    for argv, field in (
+        (("check", "--gallery", "example4", "--a", "nan"), "a"),
+        (("check", "--gallery", "example-products", "--c1", "inf"), "c1"),
+        (("gallery", "--name", "example4", "--b=-inf"), "b"),
+    ):
+        code, out, err = run(capsys, *argv, "--json", "-")
+        assert code == 2 and out == ""
+        assert f"invalid field '{field}': must be a finite number" in err
+    for argv in (
+        ("invariants", "--gallery", "example-pm-c", "--c", "1e200"),
+        ("check", "--gallery", "example-products", "--c1", "1e200", "--c2", "1"),
+        ("frame", "--gallery", "example-pm-c", "--c", "1e-200"),
+        ("gallery", "--name", "example-pm-c", "--c", "1e-200"),
+    ):
+        code, out, err = run(capsys, *argv, "--json", "-")
+        assert code == 2 and out == "" and "lies outside [1e-140, 1e+140]" in err
+    doc = tmp_path / "tiny.json"
+    doc.write_text('{"kind": "surface_product", "c1": 1e-150, "c2": -1e-150}')
+    code, _, err = run(capsys, "check", "--input", str(doc))
+    assert code == 2 and str(doc) in err and "lies outside" in err
 
 
 def test_consecutive_calls_share_no_state(capsys):
@@ -209,20 +236,29 @@ def test_consecutive_calls_share_no_state(capsys):
     assert rep["input"] == {"kind": "gallery", "name": "example-products", "c1": 1.0, "c2": 2.0}
 
 
-def test_one_st_vectors_call_per_answer(capsys, monkeypatch):
-    import stframe.cli
-    import stframe.topology
+def test_one_rotation_per_answer(capsys, monkeypatch, pattern_ii_tensor):
+    # the tensor is rotated into its frame once; the penalty, the sign cases
+    # and the ST vectors are all read from that one array
+    import stframe.tensor
 
+    Q = sf.random_frame(np.random.default_rng(3))
+    pattern_v = sf.rotate(st_construction((0.4, 0.7, 1.0), (1, -1, -1), (0.3, -0.8, 0.5)), Q)
     calls = []
-    original = stframe.topology.st_vectors
+    original = stframe.tensor.rotate
 
     def counting(*args):
         calls.append(args)
         return original(*args)
 
-    # both bindings: the CLI's own, and the one homogeneous_invariants reads
-    monkeypatch.setattr(stframe.cli, "st_vectors", counting)
-    monkeypatch.setattr(stframe.topology, "st_vectors", counting)
+    # every binding of rotate inside the package
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "stframe" and getattr(module, "rotate", None) is original:
+            monkeypatch.setattr(module, "rotate", counting)
+    for R, path in ((pattern_v, "direct-eigenbasis"), (pattern_ii_tensor, "closed-form")):
+        calls.clear()
+        assert sf.find_st_basis(R).construction_path == path
+        assert len(calls) == 1
+    calls.clear()
     code, rep, _ = run_json(capsys, "invariants", "--gallery", "example6", "--m", "2")
     assert code == 0 and rep["chi"] == pytest.approx(-4.0, abs=1e-9)
     assert len(calls) == 1

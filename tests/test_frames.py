@@ -437,6 +437,9 @@ def test_find_st_basis_on_generated_tensors(eps):
             rep = sf.find_st_basis(R)
             assert rep.construction_path in ("direct-eigenbasis", "closed-form")
             assert rep.eigen.pattern.tag == pattern
+            # the penalty and the sign cases were read from this one array
+            assert np.array_equal(rep.components, sf.rotate(R, rep.frame).comp)
+            assert not rep.components.flags.writeable
             # the frame checked on its own rotation, not through st_penalty
             F, m = rep.frame.matrix, np.abs(R.comp).max()
             c = np.einsum("ia,jb,kc,ld,abcd->ijkl", F, F, F, F, R.comp)
@@ -453,6 +456,49 @@ def test_find_st_basis_on_generated_tensors(eps):
                 lam = rep.sign_cases.eigenvalues
                 f_case = SIGN_CASES[case].f(*lam) if flat else sf.f_by_case(lam, case)
                 assert f_case == pytest.approx(f, abs=1e-9 * R.scale ** 2)
+
+
+def test_find_st_basis_pattern_v_takes_eigenbasis_at_small_ricci_gaps():
+    # rho is diagonal in an ST frame, so the Ricci eigenframe of four
+    # distinct eigenvalues is an ST frame however close two of them are;
+    # here one pair is set 10^U(-5.9, -3) * max |R| apart
+    rng = np.random.default_rng(11)
+    zero_b = (0.0, 0.0, 0.0)
+    # per eps with a pattern-V shape, the Ricci eigenvalues of the unrotated
+    # construction as a linear map of a' (b does not enter them)
+    lam_of_a = {
+        eps: np.array([np.diag(loop_ricci(st_construction(u, eps, zero_b).comp))
+                       for u in np.eye(3)]).T
+        for eps in itertools.product((1, -1), repeat=3) if eps.count(-1) >= 2
+    }
+    for n in range(200):
+        eps = list(lam_of_a)[n % len(lam_of_a)]
+        gap = 10 ** rng.uniform(-5.9, -3)
+        Q = sf.random_frame(rng)
+        while True:
+            a = rng.uniform(0.3, 1.0, 3) * rng.choice([-1.0, 1.0], 3)
+            b = rng.uniform(-1.0, 1.0, 3)
+            b[2] = -b[0] - b[1]
+            p, q = rng.choice(4, 2, replace=False)
+            d = lam_of_a[eps][p] - lam_of_a[eps][q]
+            for _ in range(3):  # the gap relative to max |R| of the rotated tensor
+                m = np.abs(sf.rotate(st_construction(a, eps, b), Q).comp).max()
+                a = a + (gap * m - d @ a) * d / (d @ d)
+            lam = lam_of_a[eps] @ a
+            others = [abs(lam[i] - lam[j]) for i, j in itertools.combinations(range(4), 2)
+                      if {i, j} != {p, q}]
+            if min(others) >= 0.05 * m:
+                break
+        s = 10 ** rng.uniform(-3, 3)
+        R = sf.rotate(st_construction(s * a, eps, s * b), Q)
+        rep = sf.find_st_basis(R)
+        assert rep.eigen.pattern.tag == "V"
+        assert rep.construction_path == "direct-eigenbasis"
+        assert rep.penalty < PENALTY_TOLERANCE
+        assert rep.frame.orientation == 1
+        F, m = rep.frame.matrix, np.abs(R.comp).max()
+        c = np.einsum("ia,jb,kc,ld,abcd->ijkl", F, F, F, F, R.comp, optimize=True)
+        assert max(abs(c[i, j, j, k]) for i, j, k in MIXED_TRIPLES) <= 1e-9 * m
 
 
 def test_find_st_basis_near_einstein_stays_closed_form():
