@@ -27,16 +27,16 @@ from .errors import (
     UnknownGalleryName,
     ValidationError,
 )
-from .frames import SIGN_CASES, find_st_basis, ricci_spectrum
-from .sources import GALLERY_NAMES, gallery, load_spec, random_curvature, realize
+from .frames import find_st_basis, ricci_spectrum
+from .sources import (
+    GALLERY_NAMES, GALLERY_PARAMS, gallery, load_spec, random_curvature, realize,
+)
 from .topology import f_value, invariants_from_vectors, vectors_from_components
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
 EXIT_USAGE = 2
 EXIT_SEARCH = 3
-
-_GALLERY_PARAM_FLAGS = ("c1", "c2", "c", "a", "b", "m")
 
 #: supported range of a tensor's scale max |R_ijkl|: inside it |R|^2 and the
 #: sums of squared components the residuals take stay normal floats
@@ -60,34 +60,16 @@ GALLERY_SUITE = (
 
 # --- deterministic JSON rendering -------------------------------------------
 
-def render_json(obj, indent: int = 0) -> str:
-    """JSON with every float printed with 17 significant digits (lossless and
-    byte-stable across runs)."""
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = ",\n".join(
-            f'{pad}  {json.dumps(str(k))}: {render_json(v, indent + 1)}'
-            for k, v in obj.items()
-        )
-        return "{\n" + items + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
-        return "[\n" + items + "\n" + pad + "]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format(float(obj), ".17g")
-    return json.dumps(obj)
+def render_json(obj) -> str:
+    """Strict JSON in two-space indent, one item per line.  Each float is
+    written as its shortest round-trip repr, so a report parses back to the
+    same doubles and is byte-stable across runs; a NaN or infinity raises
+    ValueError instead of being written as a bare, non-JSON token."""
+    return json.dumps(obj, indent=2, allow_nan=False)
 
 
 def _floats(a) -> list[float]:
-    return [float(x) for x in np.asarray(a).reshape(-1)]
+    return np.asarray(a, dtype=float).ravel().tolist()
 
 
 # --- report assembly ---------------------------------------------------------
@@ -103,7 +85,7 @@ def _input_echo(args) -> dict:
 def _gallery_params(args) -> dict:
     return {
         k: getattr(args, k)
-        for k in _GALLERY_PARAM_FLAGS
+        for k in GALLERY_PARAMS
         if getattr(args, k, None) is not None
     }
 
@@ -264,12 +246,10 @@ def _cmd_invariants(args) -> int:
         return EXIT_VERDICT
     vec = vectors_from_components(st.components, R.scale)
     inv = invariants_from_vectors(vec, R.scale, volume)
-    # find_st_basis checked each case's eigenvalue relation against
-    # the scale of R; f_by_case would check it against the eigenvalues alone
-    f_cases = {
-        case: float(SIGN_CASES[case].f(*st.sign_cases.eigenvalues))
-        for case in st.sign_cases.cases
-    }
+    if volume is not None and not all(
+        map(math.isfinite, (inv.chi, inv.p1, inv.C, 1e-9 * R.scale ** 2 * volume))
+    ):
+        raise ValidationError("volume", f"{volume:g} overflows chi, p1, C or the bound slack")
     report = {
         "command": "invariants",
         "input": _input_echo(args),
@@ -287,7 +267,7 @@ def _cmd_invariants(args) -> int:
             "a": _floats(vec.a),
         },
         "f": inv.f,
-        "f_by_case": f_cases,
+        "f_by_case": dict(st.sign_cases.f),
         "chi_density": inv.chi_density,
         "p1_density": inv.p1_density,
     }
@@ -408,7 +388,7 @@ def _add_common(p: argparse.ArgumentParser, tensor_input: bool = True) -> None:
     if tensor_input:
         p.add_argument("--input", help="JSON geometry document")
         p.add_argument("--gallery", help="gallery entry name")
-        for flag in _GALLERY_PARAM_FLAGS:
+        for flag in GALLERY_PARAMS:
             p.add_argument(f"--{flag}", type=float, default=None)
         p.add_argument("--volume", type=float, default=None)
     p.add_argument("--json", metavar="PATH", default=None,
@@ -469,7 +449,7 @@ def main(argv=None) -> int:
             value = getattr(args, field, None)
             if value is not None and not 0 < value < math.inf:
                 raise ValidationError(field, "must be a positive finite number")
-        for field in _GALLERY_PARAM_FLAGS:
+        for field in GALLERY_PARAMS:
             value = getattr(args, field, None)
             if value is not None and not math.isfinite(value):
                 raise ValidationError(field, "must be a finite number")

@@ -271,6 +271,7 @@ class SignCaseSet:
     cases: tuple[str, ...]
     eigenvalues: np.ndarray
     relation_residuals: dict
+    f: dict  # case -> its closed-form deficit f of the eigenvalues
 
 
 class SignCase(NamedTuple):
@@ -343,7 +344,8 @@ def _sign_cases(comp: np.ndarray, scale: float) -> SignCaseSet:
         epsilons_per_pair.append(signs)
     cases = []
     residuals = {}
-    for case, (signs, relation, _) in SIGN_CASES.items():
+    f_cases = {}
+    for case, (signs, relation, f) in SIGN_CASES.items():
         if not all(e in admissible for e, admissible in zip(signs, epsilons_per_pair)):
             continue
         resid = relation(*lam)
@@ -351,11 +353,14 @@ def _sign_cases(comp: np.ndarray, scale: float) -> SignCaseSet:
             continue
         cases.append(case)
         residuals[case] = resid
+        f_cases[case] = float(f(*lam))
     if not cases:
         raise CaseRelationViolated(
             "no admissible sign case satisfies its eigenvalue relation"
         )
-    return SignCaseSet(cases=tuple(cases), eigenvalues=lam, relation_residuals=residuals)
+    return SignCaseSet(
+        cases=tuple(cases), eigenvalues=lam, relation_residuals=residuals, f=f_cases
+    )
 
 
 def classify_sign_cases(R: Curvature4, F: Frame4) -> SignCaseSet:

@@ -142,6 +142,9 @@ GALLERY_NAMES = (
     "example6",
 )
 
+#: the numeric parameters a gallery entry may take (each entry reads its own)
+GALLERY_PARAMS = ("c1", "c2", "c", "a", "b", "m")
+
 
 def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
     """Gallery tensor plus stored expectations (eigenvalues, verdicts, cases, volume).
@@ -220,6 +223,8 @@ def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
         # Unit sphere (K=+1) times genus-m surface (K=-1); the surface volume
         # 4*pi*(m-1) comes from the 2D Gauss-Bonnet theorem.
         volume = 4 * math.pi * 4 * math.pi * (m - 1)
+        if not math.isfinite(volume):
+            raise ValidationError("m", "example6 genus m too large: its volume overflows")
         meta = {
             "name": name,
             "m": m,
@@ -338,7 +343,7 @@ def load_spec(text: str) -> GeometrySpec:
         if not isinstance(name, str) or name not in GALLERY_NAMES:
             raise ValidationError("name", f"must be one of {GALLERY_NAMES}")
         params["name"] = name
-        for key in ("c1", "c2", "c", "a", "b", "m"):
+        for key in GALLERY_PARAMS:
             if key in doc:
                 params[key] = _require_number(doc, key)
     return GeometrySpec(kind=kind, params=params, volume=volume)

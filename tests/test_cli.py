@@ -166,6 +166,17 @@ def test_usage_errors_exit_two(capsys, tmp_path):
             "--json", "-",
         )
         assert code == 2 and "volume" in err and out == ""
+    # a volume whose products with the densities overflow would make every
+    # bound flag pass vacuously
+    code, out, err = run(
+        capsys, "invariants", "--gallery", "example-pm-c", "--c", "1e140",
+        "--volume", "1e100", "--json", "-",
+    )
+    assert code == 2 and "volume" in err and out == ""
+    # so would a genus whose volume overflows
+    for command in (("invariants", "--gallery"), ("gallery", "--name")):
+        code, out, err = run(capsys, *command, "example6", "--m", "1e307", "--json", "-")
+        assert code == 2 and "'m'" in err and out == ""
     # a tolerance that is not a positive finite number makes every verdict vacuous
     for flag, value in (("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"),
                         ("--tol-mult", "-1"), ("--tol-mult", "inf")):
@@ -290,3 +301,32 @@ def test_machine_reports_are_byte_identical(capsys, tmp_path):
         main(argv + ["--json", str(p2)])
         capsys.readouterr()
         assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_machine_reports_are_typed_strict_json(capsys, tmp_path):
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    commands = [
+        ["identity", "--gallery", "example-s2-1"],
+        ["check", "--gallery", "example-products", "--c1", "1", "--c2", "2"],
+        ["frame", "--gallery", "example4", "--a", "1", "--b", "0.5", "--seed", "3"],
+        ["invariants", "--gallery", "example6", "--m", "2", "--seed", "1"],
+        ["fuzz", "--count", "20", "--seed", "9"],
+        ["gallery", "--all", "--seed", "4"],
+    ]
+    path = tmp_path / "report.json"
+    for argv in commands:
+        main(argv + ["--json", str(path)])
+        json.loads(path.read_text(), parse_constant=reject)
+    capsys.readouterr()
+    # the frame's exact 0.0 and 1.0 entries come back as the same floats
+    code, rep, _ = run_json(capsys, "frame", "--gallery", "example4", "--a", "1", "--b", "0.5")
+    assert code == 0
+    st = sf.find_st_basis(sf.gallery("example4", a=1.0, b=0.5)[0])
+    for key, values in (
+        ("st_frame", st.frame.matrix.ravel().tolist()),
+        ("eigenvalues", st.eigen.eigenvalues.tolist()),
+    ):
+        assert all(type(x) is float for x in rep[key])
+        assert rep[key] == values
