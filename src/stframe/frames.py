@@ -13,10 +13,12 @@ is rotated into that frame once; the penalty, the sign cases and the ST
 vectors are all read from that one array.  A frame is accepted when its
 dimensionless penalty is below PENALTY_TOLERANCE; every other tolerance is
 relative to the tensor's scale max |R_ijkl|.
-generic_st_fallback, a penalty minimizer over SO(4), is not part of the
-search; it checks infeasibility: on a tensor with no frame its best penalty
-stays far above the tolerance.  trig_fit_extremum maximizes a trigonometric
-polynomial fitted exactly to a few samples at a root of one quartic.
+generic_st_fallback, a Levenberg-Marquardt minimizer of the penalty's 27
+residuals over SO(4), is not part of the search; it checks infeasibility: on
+a tensor with no frame its best penalty stays far above the tolerance, while
+on one with a frame a few seeded starts find one.  trig_fit_extremum
+maximizes a trigonometric polynomial fitted exactly to a few samples at a
+root of one quartic.
 """
 
 from __future__ import annotations
@@ -166,12 +168,19 @@ def ricci_spectrum(R: Curvature4, tol_mult: float = DEFAULT_TOL_MULT) -> RicciSp
 
 # --- penalty -----------------------------------------------------------------
 
-def _penalty_of_components(comp: np.ndarray, scale: float) -> float:
+def _residuals(comp: np.ndarray, scale: float) -> np.ndarray:
+    """The 27 penalty residuals of components comp: the 24 mixed components
+    over scale, then the three plane-pair differences a^2 - b^2 over scale^2."""
     flat = comp.reshape(-1) / scale
-    mixed = flat[_MIXED_FLAT]
     first, second = flat[_PLANE_FLAT[0]], flat[_PLANE_FLAT[1]]
-    planes = first * first - second * second
-    return float(mixed @ mixed + planes @ planes)
+    return np.concatenate((flat[_MIXED_FLAT], first * first - second * second))
+
+
+def _penalty_of_components(comp: np.ndarray, scale: float) -> float:
+    r = _residuals(comp, scale)
+    # the mixed and the plane-pair sums apart, so that every reported
+    # penalty keeps its bits
+    return float(r[:24] @ r[:24] + r[24:] @ r[24:])
 
 
 def st_penalty(R: Curvature4, F: Frame4) -> float:
@@ -251,17 +260,6 @@ def trig_fit_extremum(samples) -> float:
     return float(t_star)
 
 
-# --- frame manipulation helpers ----------------------------------------------
-
-def _plane_rotated(F: Frame4, p: int, q: int, t: float) -> Frame4:
-    rows = F.matrix.copy()
-    c, s = math.cos(t), math.sin(t)
-    rp, rq = rows[p].copy(), rows[q].copy()
-    rows[p] = c * rp + s * rq
-    rows[q] = -s * rp + c * rq
-    return Frame4(rows)
-
-
 # --- sign-case classification ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -271,17 +269,16 @@ class SignCaseSet:
     cases: tuple[str, ...]
     eigenvalues: np.ndarray
     relation_residuals: dict
-    f: dict  # case -> its closed-form deficit f of the eigenvalues
+    f: dict  # case -> the deficit f of the eigenvalues, one value for every case
 
 
 class SignCase(NamedTuple):
     """One sign case: the signs eps of R'_ijij = eps R'_klkl on the three
-    PLANE_PAIRS, the residual of its Ricci-eigenvalue relation and its
-    closed-form deficit f, both functions of the eigenvalues l1..l4."""
+    PLANE_PAIRS and the residual of its relation between the Ricci
+    eigenvalues l1..l4."""
 
     signs: tuple[int, int, int]
     relation: Callable[..., float]
-    f: Callable[..., float]
 
 
 #: the eight sign cases, in their canonical order
@@ -289,44 +286,23 @@ SIGN_CASES = {
     "i": SignCase(
         (1, 1, 1),
         lambda l1, l2, l3, l4: max(abs(l1 - l2), abs(l1 - l3), abs(l1 - l4)),
-        lambda l1, l2, l3, l4: 0.0,
     ),
-    "ii": SignCase(
-        (-1, 1, 1),
-        lambda l1, l2, l3, l4: max(abs(l1 - l2), abs(l3 - l4)),
-        lambda l1, l2, l3, l4: -0.25 * (l1 - l3) ** 2,
-    ),
-    "iii": SignCase(
-        (1, -1, 1),
-        lambda l1, l2, l3, l4: max(abs(l1 - l3), abs(l2 - l4)),
-        lambda l1, l2, l3, l4: -0.25 * (l1 - l2) ** 2,
-    ),
-    "iv": SignCase(
-        (1, 1, -1),
-        lambda l1, l2, l3, l4: max(abs(l1 - l4), abs(l2 - l3)),
-        lambda l1, l2, l3, l4: -0.25 * (l1 - l3) ** 2,
-    ),
-    "v": SignCase(
-        (1, -1, -1),
-        lambda l1, l2, l3, l4: abs(l1 + l2 - l3 - l4),
-        lambda l1, l2, l3, l4: -0.25 * ((l1 - l3) ** 2 + (l1 - l4) ** 2),
-    ),
-    "vi": SignCase(
-        (-1, 1, -1),
-        lambda l1, l2, l3, l4: abs(l1 + l3 - l2 - l4),
-        lambda l1, l2, l3, l4: -0.25 * ((l1 - l2) ** 2 + (l1 - l4) ** 2),
-    ),
-    "vii": SignCase(
-        (-1, -1, 1),
-        lambda l1, l2, l3, l4: abs(l1 + l4 - l2 - l3),
-        lambda l1, l2, l3, l4: -0.25 * ((l1 - l2) ** 2 + (l1 - l3) ** 2),
-    ),
-    "viii": SignCase(  # tau = 0
-        (-1, -1, -1),
-        lambda l1, l2, l3, l4: abs(l1 + l2 + l3 + l4),
-        lambda l1, l2, l3, l4: -0.25 * ((l1 + l2) ** 2 + (l1 + l3) ** 2 + (l1 + l4) ** 2),
-    ),
+    "ii": SignCase((-1, 1, 1), lambda l1, l2, l3, l4: max(abs(l1 - l2), abs(l3 - l4))),
+    "iii": SignCase((1, -1, 1), lambda l1, l2, l3, l4: max(abs(l1 - l3), abs(l2 - l4))),
+    "iv": SignCase((1, 1, -1), lambda l1, l2, l3, l4: max(abs(l1 - l4), abs(l2 - l3))),
+    "v": SignCase((1, -1, -1), lambda l1, l2, l3, l4: abs(l1 + l2 - l3 - l4)),
+    "vi": SignCase((-1, 1, -1), lambda l1, l2, l3, l4: abs(l1 + l3 - l2 - l4)),
+    "vii": SignCase((-1, -1, 1), lambda l1, l2, l3, l4: abs(l1 + l4 - l2 - l3)),
+    "viii": SignCase((-1, -1, -1), lambda l1, l2, l3, l4: abs(l1 + l2 + l3 + l4)),  # tau = 0
 }
+
+
+def _deficit(lam: np.ndarray) -> float:
+    """The deficit f = -|rho_0|^2 / 4 of Ricci eigenvalues lam, rho_0 the
+    traceless Ricci tensor: under each sign case's eigenvalue relation this
+    is that case's closed form, so one formula serves all eight."""
+    d = lam - lam.sum() / 4
+    return -0.25 * float(d @ d)
 
 
 def _sign_cases(comp: np.ndarray, scale: float) -> SignCaseSet:
@@ -342,24 +318,22 @@ def _sign_cases(comp: np.ndarray, scale: float) -> SignCaseSet:
                 f"no admissible sign for plane pair {(i + 1, j + 1)}/{(k + 1, l + 1)}"
             )
         epsilons_per_pair.append(signs)
-    cases = []
     residuals = {}
-    f_cases = {}
-    for case, (signs, relation, f) in SIGN_CASES.items():
+    for case, (signs, relation) in SIGN_CASES.items():
         if not all(e in admissible for e, admissible in zip(signs, epsilons_per_pair)):
             continue
         resid = relation(*lam)
-        if resid > tol:
-            continue
-        cases.append(case)
-        residuals[case] = resid
-        f_cases[case] = float(f(*lam))
-    if not cases:
+        if resid <= tol:
+            residuals[case] = resid
+    if not residuals:
         raise CaseRelationViolated(
             "no admissible sign case satisfies its eigenvalue relation"
         )
     return SignCaseSet(
-        cases=tuple(cases), eigenvalues=lam, relation_residuals=residuals, f=f_cases
+        cases=tuple(residuals),
+        eigenvalues=lam,
+        relation_residuals=residuals,
+        f=dict.fromkeys(residuals, _deficit(lam)),
     )
 
 
@@ -466,67 +440,73 @@ def _closed_form_frame(R: Curvature4, spectrum: RicciSpectrum) -> Frame4:
     return Frame4(rows)
 
 
-# --- generic fallback --------------------------------------------------------
+# --- infeasibility check -----------------------------------------------------
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-
-_PLANES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-
-
-def _golden_section(fun, lo, hi, iters=60):
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    for _ in range(iters):
-        if f1 < f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = fun(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = fun(x2)
-    return x1 if f1 < f2 else x2
+#: the generators E = e_p e_q^T - e_q e_p^T of so(4), and their actions
+#: kron(E, I) + kron(I, E) on the index pairs of the (16, 16) components
+_SO4 = np.array([
+    np.outer(u, v) - np.outer(v, u) for u, v in itertools.combinations(np.eye(4), 2)
+])
+_SO4_ON_PAIRS = np.array([np.kron(E, np.eye(4)) + np.kron(np.eye(4), E) for E in _SO4])
 
 
-def _line_min(fun):
-    """Minimize a pi-periodic smooth function of one angle: coarse grid plus
-    golden-section refinement."""
-    grid = np.linspace(-math.pi / 2, math.pi / 2, 49)
-    vals = [fun(t) for t in grid]
-    i = int(np.argmin(vals))
-    h = grid[1] - grid[0]
-    return _golden_section(fun, grid[i] - h, grid[i] + h)
+def _jacobian(comp: np.ndarray, scale: float) -> np.ndarray:
+    """(27, 6) Jacobian of _residuals at components comp of R in a frame F,
+    column k the derivative along exp(t E_k) F for E_k = _SO4[k]: there the
+    (16, 16) components C move as L C + C L^T, L = _SO4_ON_PAIRS[k]."""
+    lc = _SO4_ON_PAIRS @ comp.reshape(16, 16)
+    d = (lc + lc.transpose(0, 2, 1)).reshape(6, 256) / scale
+    flat = comp.reshape(-1) / scale
+    first, second = _PLANE_FLAT
+    planes = 2 * (flat[first] * d[:, first] - flat[second] * d[:, second])
+    return np.hstack((d[:, _MIXED_FLAT], planes)).T
 
 
 def generic_st_fallback(
     R: Curvature4, n_starts: int = 20, seed: int = 0
 ) -> tuple[Frame4, float, list[float]]:
-    """Minimize st_penalty over SO(4) by cyclic coordinate descent over the six
-    Givens angles with golden-section line searches, at most 100 sweeps from
-    each of n_starts seeded random frames.  Returns (best frame, best
-    penalty, per-start penalties); a best penalty well above
-    PENALTY_TOLERANCE shows that R has no generalized Singer-Thorpe frame."""
+    """Minimize st_penalty over SO(4) by Levenberg-Marquardt from each of
+    n_starts seeded random frames.
+
+    Each iteration solves (J^T J + lam tr(J^T J)/6 I) x = -J^T r for the 27
+    residuals r of the penalty and their analytic Jacobian J in the six
+    generators of so(4).  It solves with lstsq, because a tensor whose frames
+    have a stabilizer (as the SO(2) x SO(2) of a surface product) makes J^T J
+    singular, and moves the frame by the Cayley transform of x, which keeps
+    it orthogonal.  A step that does not lower the penalty is retried with
+    ten times the damping lam.  A start stops when an accepted step lowers
+    the penalty by less than a relative 1e-6, when the penalty is below
+    PENALTY_TOLERANCE, or after 100 iterations; the search stops at the first
+    start below PENALTY_TOLERANCE.  Returns (best frame, best penalty,
+    per-start penalties); a best penalty well above PENALTY_TOLERANCE shows
+    that R has no generalized Singer-Thorpe frame."""
+    if n_starts < 1:
+        raise ValueError("n_starts must be at least 1")
     rng = np.random.default_rng(seed)
     best = None
     start_penalties = []
     for _ in range(n_starts):
         F = random_frame(rng)
-        p = st_penalty(R, F)
+        comp = rotate(R, F).comp
+        p = _penalty_of_components(comp, R.scale)
+        damping = 1e-3
         for _ in range(100):
-            improved = p
-            for plane in _PLANES:
-                pq = plane
-
-                def along(t):
-                    return st_penalty(R, _plane_rotated(F, pq[0], pq[1], t))
-
-                t = _line_min(along)
-                cand = _plane_rotated(F, pq[0], pq[1], t)
-                pc = st_penalty(R, cand)
-                if pc < p:
-                    F, p = cand, pc
-            if p < PENALTY_TOLERANCE or improved - p < max(1e-18, 1e-3 * p):
+            if p < PENALTY_TOLERANCE:
+                break
+            r, J = _residuals(comp, R.scale), _jacobian(comp, R.scale)
+            H = J.T @ J
+            x = np.linalg.lstsq(H + damping * np.trace(H) / 6 * np.eye(6), -J.T @ r)[0]
+            X = np.tensordot(x, _SO4, 1) / 2
+            cand = Frame4(np.linalg.solve(np.eye(4) - X, np.eye(4) + X) @ F.matrix)
+            cand_comp = rotate(R, cand).comp
+            pc = _penalty_of_components(cand_comp, R.scale)
+            if pc >= p:
+                damping *= 10
+                continue
+            decrease = (p - pc) / p
+            F, comp, p = cand, cand_comp, pc
+            damping /= 10
+            if decrease < 1e-6:
                 break
         start_penalties.append(p)
         if best is None or p < best[0]:

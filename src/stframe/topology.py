@@ -1,6 +1,7 @@
 """Gauss-Bonnet / Pontryagin integrand vectors in a generalized Singer-Thorpe
-frame, per-case closed forms for the deficit f, and the Euler number /
-Pontryagin number / lower-bound round trip for constant-integrand inputs."""
+frame, the deficit f from the Ricci eigenvalues of a sign case, and the
+Euler number / Pontryagin number / lower-bound round trip for
+constant-integrand inputs."""
 
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CaseRelationViolated, OrientationReversed, SymmetryViolation
-from .frames import SIGN_CASES, SIGN_TOLERANCE, st_components
+from .frames import SIGN_CASES, SIGN_TOLERANCE, _deficit, st_components
 from .tensor import Curvature4, Frame4
 
 
@@ -75,7 +76,8 @@ def f_value(v: STVectors) -> float:
 
 
 def f_by_case(eigenvalues, case: str) -> float:
-    """Closed-form f from the Ricci eigenvalues of the eight sign cases.
+    """The deficit f = -|rho_0|^2 / 4 from the Ricci eigenvalues of a sign
+    case, rho_0 the traceless Ricci tensor.
 
     The eigenvalues must be ordered as in the classifying frame; the case's
     eigenvalue relation is checked to SIGN_TOLERANCE (CaseRelationViolated
@@ -91,7 +93,7 @@ def f_by_case(eigenvalues, case: str) -> float:
         raise CaseRelationViolated(
             f"eigenvalues violate the relation of case ({case})"
         )
-    return float(SIGN_CASES[case].f(*lam))
+    return _deficit(lam)
 
 
 def densities(v: STVectors) -> tuple[float, float]:

@@ -7,6 +7,7 @@ test expectations are computed by a second, independent code path.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -73,6 +74,45 @@ def loop_rotate(comp: np.ndarray, m: np.ndarray) -> np.ndarray:
                         for d in range(4)
                     )
     return out
+
+
+# --- frame-free invariant oracle ---------------------------------------------
+
+def _permutation_sign(p) -> int:
+    """Sign of a permutation of (0, 1, 2, 3), and 0 when an index repeats."""
+    if len(set(p)) < 4:
+        return 0
+    inversions = sum(p[i] > p[j] for i in range(4) for j in range(i + 1, 4))
+    return -1 if inversions % 2 else 1
+
+
+#: the basis e_a ^ e_b (a < b) of Lambda^2, and orthonormal bases of Lambda-
+#: and Lambda+ in it: the -1 and the +1 eigenvectors of the Hodge star
+#: *(e_a ^ e_b) = sum_{c < d} eps_abcd e_c ^ e_d
+_PAIRS = [(a, b) for a in range(4) for b in range(a + 1, 4)]
+_HODGE_STAR = np.array(
+    [[_permutation_sign((a, b, c, d)) for a, b in _PAIRS] for c, d in _PAIRS], dtype=float
+)
+_LAMBDA_MINUS, _LAMBDA_PLUS = np.split(np.linalg.eigh(_HODGE_STAR)[1], 2, axis=1)
+
+
+def frame_free_invariants(comp: np.ndarray) -> tuple[float, float, float]:
+    """(f, chi density, p1 density) of a weakly-Einstein tensor, read without
+    a frame: f = -|rho_0|^2 / 4 with rho_0 = rho - tau g / 4 the traceless
+    Ricci tensor, the Chern-Gauss-Bonnet integrand
+    (|R|^2 - 4 |rho|^2 + tau^2) / (32 pi^2), and the signature-formula
+    integrand (|A|^2 - |C|^2) / (4 pi^2), with A and C the Lambda+ Lambda+ and
+    Lambda- Lambda- blocks of the curvature operator."""
+    rho = loop_ricci(comp)
+    tau = sum(rho[i, i] for i in range(4))
+    rho0 = rho - tau / 4 * np.eye(4)
+    f = -float(np.sum(rho0 * rho0)) / 4
+    chi = (loop_norm_r2(comp) - 4 * float(np.sum(rho * rho)) + tau ** 2) / (32 * math.pi ** 2)
+    op = np.array([[comp[a, b, c, d] for c, d in _PAIRS] for a, b in _PAIRS])
+    A = _LAMBDA_PLUS.T @ op @ _LAMBDA_PLUS
+    C = _LAMBDA_MINUS.T @ op @ _LAMBDA_MINUS
+    p1 = (float(np.sum(A * A)) - float(np.sum(C * C))) / (4 * math.pi ** 2)
+    return f, chi, p1
 
 
 # --- exact oracle ----------------------------------------------------------------

@@ -16,9 +16,21 @@ from stframe.errors import (
     NotWeaklyEinstein,
     SearchFailed,
 )
-from stframe.frames import MIXED_TRIPLES, PENALTY_TOLERANCE, PLANE_PAIRS, SIGN_CASES
+from stframe.frames import (
+    MIXED_TRIPLES,
+    PENALTY_TOLERANCE,
+    PLANE_PAIRS,
+    SIGN_CASES,
+    st_components,
+)
 
-from conftest import WEAKLY_EINSTEIN_GALLERY, loop_ricci, loop_rotate, st_construction
+from conftest import (
+    WEAKLY_EINSTEIN_GALLERY,
+    frame_free_invariants,
+    loop_ricci,
+    loop_rotate,
+    st_construction,
+)
 
 
 # --- eigensolver --------------------------------------------------------------
@@ -446,8 +458,13 @@ def test_find_st_basis_on_generated_tensors(eps):
             assert max(abs(c[i, j, j, k]) for i, j, k in MIXED_TRIPLES) <= 1e-9 * m
             for (i, j), (k, l) in PLANE_PAIRS:
                 assert abs(c[i, j, i, j] ** 2 - c[k, l, k, l] ** 2) <= 1e-9 * m * m
-            f = sf.f_value(sf.st_vectors(R, rep.frame))
+            v = sf.st_vectors(R, rep.frame)
+            f = sf.f_value(v)
             assert f <= 1e-12 * R.scale ** 2  # f <= 0 up to rounding
+            # f and the densities against their frame-free formulas
+            assert (f, *sf.densities(v)) == pytest.approx(
+                frame_free_invariants(R.comp), abs=1e-12 * R.scale ** 2
+            )
             # f_by_case checks a case's relation against max(1, max |lambda|),
             # which a Ricci-flat spectrum (rounding noise) misses above a
             # scale of about 1e7, a known fault listed in CHANGES.md; on those
@@ -540,6 +557,33 @@ def test_generic_fallback_fails_on_incompatible_tensor():
     _, best, per_start = sf.generic_st_fallback(R, n_starts=5, seed=0)
     assert best > 1e-6
     assert len(per_start) == 5
+
+
+def test_generic_fallback_needs_a_start():
+    with pytest.raises(ValueError):
+        sf.generic_st_fallback(sf.constant_curvature(1.0), n_starts=0)
+
+
+def test_generic_fallback_finds_frame_of_feasible_tensor():
+    # rotated ST constructions of pattern V and of pattern II (|a'_2| = |a'_3|
+    # where eps is -1 repeats a Ricci eigenvalue, and leaves a circle of
+    # frames): the minimizer reaches the tolerance within five starts, and
+    # reproduces its answer from the seed
+    rng = np.random.default_rng(12)
+    shapes = (
+        ("V", (0.4, 0.7, 1.0), (0.3, -0.8, 0.5)),
+        ("II", (0.5, 0.8, -0.8), (0.2, 0.4, -0.6)),
+    )
+    for k, (pattern, a, b) in enumerate(shapes):
+        for _ in range(3):
+            R = sf.rotate(st_construction(a, (1, -1, -1), b), sf.random_frame(rng))
+            assert sf.find_st_basis(R).eigen.pattern.tag == pattern
+            F, best, per_start = sf.generic_st_fallback(R, n_starts=5, seed=k)
+            assert best < PENALTY_TOLERANCE
+            st_components(R, F)  # raises NotSTFrame on a frame above the tolerance
+            G, _, again = sf.generic_st_fallback(R, n_starts=5, seed=k)
+            assert np.array_equal(F.matrix, G.matrix)
+            assert again == per_start
 
 
 def test_search_failure_carries_diagnostics():

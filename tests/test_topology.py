@@ -14,7 +14,7 @@ from stframe.errors import (
     SymmetryViolation,
 )
 
-from conftest import WEAKLY_EINSTEIN_GALLERY
+from conftest import WEAKLY_EINSTEIN_GALLERY, frame_free_invariants
 
 
 def test_st_vectors_on_opposite_surfaces():
@@ -113,6 +113,15 @@ def test_f_by_case_matches_f_value_on_gallery():
         for case in rep.sign_cases.cases:
             f_closed = sf.f_by_case(rep.sign_cases.eigenvalues, case)
             assert f == pytest.approx(f_closed, abs=1e-8 * R.scale ** 2)
+
+
+def test_invariants_match_frame_free_formulas_on_gallery():
+    for name, params in WEAKLY_EINSTEIN_GALLERY:
+        R, _ = sf.gallery(name, **params)
+        v = sf.st_vectors(R, sf.find_st_basis(R).frame)
+        assert (sf.f_value(v), *sf.densities(v)) == pytest.approx(
+            frame_free_invariants(R.comp), abs=1e-12 * R.scale ** 2
+        )
 
 
 def test_densities_of_round_sphere():
