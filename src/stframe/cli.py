@@ -13,6 +13,7 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    DEFAULT_TOL,
     einstein_residual,
     forbidden_pattern,
     identity_residual,
@@ -27,11 +28,11 @@ from .errors import (
     UnknownGalleryName,
     ValidationError,
 )
-from .frames import find_st_basis, ricci_spectrum
+from .frames import DEFAULT_TOL_MULT, find_st_basis, ricci_spectrum
 from .sources import (
     GALLERY_NAMES, GALLERY_PARAMS, gallery, load_spec, random_curvature, realize,
 )
-from .topology import f_value, invariants_from_vectors, vectors_from_components
+from .topology import invariants_from_vectors, vectors_from_components
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -90,23 +91,26 @@ def _gallery_params(args) -> dict:
     }
 
 
+def _header(args) -> dict:
+    """A report's command and input, then whichever of tol, tol_mult and seed
+    the subcommand takes."""
+    head = {"command": args.command, "input": _input_echo(args)}
+    head.update((k, getattr(args, k)) for k in ("tol", "tol_mult", "seed") if hasattr(args, k))
+    return head
+
+
 def _load_tensor(args):
-    """The tensor and its metadata; --volume, when given, is meta["volume"]."""
     if args.gallery is not None:
         load = functools.partial(gallery, args.gallery, **_gallery_params(args))
-        R, meta = _checked_tensor(args.gallery, load)
-    elif args.input is None:
+        return _checked_tensor(args.gallery, load)
+    if args.input is None:
         raise ValidationError("input", "either --input FILE or --gallery NAME required")
-    else:
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as e:
-            raise ValidationError("input", f"cannot read {args.input}: {e}") from e
-        R, meta = _checked_tensor(args.input, lambda: realize(load_spec(text)))
-    if args.volume is not None:
-        meta = dict(meta, volume=args.volume)
-    return R, meta
+    try:
+        with open(args.input, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise ValidationError("input", f"cannot read {args.input}: {e}") from e
+    return _checked_tensor(args.input, lambda: realize(load_spec(text)))
 
 
 def _checked_tensor(source: str, load):
@@ -155,18 +159,29 @@ def _print_human(report: dict, prefix: str = "") -> None:
             print(f"{prefix}{key}: {value}")
 
 
+def _st_basis(R, args, **verdicts):
+    """find_st_basis(R), or None once the not-weakly-Einstein report, with
+    verdicts after weakly_einstein, is emitted."""
+    try:
+        return find_st_basis(R, tol=args.tol, tol_mult=args.tol_mult)
+    except NotWeaklyEinstein as e:
+        report = {
+            "command": args.command,
+            "input": _input_echo(args),
+            "verdicts": {"weakly_einstein": False, **verdicts},
+            "weakly_einstein_residual": _residual_dict(e.report),
+        }
+        _emit(report, args)
+        return None
+
+
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_identity(args) -> int:
     R, _ = _load_tensor(args)
     rep = identity_residual(R, args.tol)
-    report = {
-        "command": "identity",
-        "input": _input_echo(args),
-        "tol": args.tol,
-        "identity_residual": _residual_dict(rep),
-        "identity_ok": rep.passes,
-    }
+    report = _header(args)
+    report.update(identity_residual=_residual_dict(rep), identity_ok=rep.passes)
     _emit(report, args)
     return EXIT_OK if rep.passes else EXIT_VERDICT
 
@@ -178,22 +193,19 @@ def _cmd_check(args) -> int:
     wrep = weakly_einstein_residual(R, args.tol)
     spec = ricci_spectrum(R, args.tol_mult)
     pattern_id = forbidden_pattern(spec.eigenvalues, args.tol_mult)
-    report = {
-        "command": "check",
-        "input": _input_echo(args),
-        "tol": args.tol,
-        "tol_mult": args.tol_mult,
-        "verdicts": {
+    report = _header(args)
+    report.update(
+        verdicts={
             "identity_ok": idrep.passes,
             "einstein": erep.passes,
             "weakly_einstein": wrep.passes,
         },
-        "eigenvalues": _floats(spec.eigenvalues),
-        "pattern": spec.pattern.tag,
-        "forbidden_pattern": pattern_id,
-        "einstein_residual": _residual_dict(erep),
-        "weakly_einstein_residual": _residual_dict(wrep),
-    }
+        eigenvalues=_floats(spec.eigenvalues),
+        pattern=spec.pattern.tag,
+        forbidden_pattern=pattern_id,
+        einstein_residual=_residual_dict(erep),
+        weakly_einstein_residual=_residual_dict(wrep),
+    )
     _emit(report, args)
     return EXIT_OK if wrep.passes else EXIT_VERDICT
 
@@ -201,76 +213,48 @@ def _cmd_check(args) -> int:
 def _cmd_frame(args) -> int:
     R, _ = _load_tensor(args)
     erep = einstein_residual(R, args.tol)
-    try:
-        st = find_st_basis(R, tol=args.tol, tol_mult=args.tol_mult)
-    except NotWeaklyEinstein as e:
-        report = {
-            "command": "frame",
-            "input": _input_echo(args),
-            "verdicts": {"weakly_einstein": False, "einstein": erep.passes},
-            "weakly_einstein_residual": _residual_dict(e.report),
-        }
-        _emit(report, args)
+    st = _st_basis(R, args, einstein=erep.passes)
+    if st is None:
         return EXIT_VERDICT
-    report = {
-        "command": "frame",
-        "input": _input_echo(args),
-        "tol": args.tol,
-        "tol_mult": args.tol_mult,
-        "seed": args.seed,
-        "verdicts": {"weakly_einstein": True, "einstein": erep.passes},
-        "eigenvalues": _floats(st.eigen.eigenvalues),
-        "pattern": st.eigen.pattern.tag,
-        "st_frame": _floats(st.frame.matrix),
-        "penalty": st.penalty,
-        "construction_path": st.construction_path,
-        "sign_cases": list(st.sign_cases.cases),
-    }
+    report = _header(args)
+    report.update(
+        verdicts={"weakly_einstein": True, "einstein": erep.passes},
+        eigenvalues=_floats(st.eigen.eigenvalues),
+        pattern=st.eigen.pattern.tag,
+        st_frame=_floats(st.frame.matrix),
+        penalty=st.penalty,
+        construction_path=st.construction_path,
+        sign_cases=list(st.sign_cases.cases),
+    )
     _emit(report, args)
     return EXIT_OK
 
 
 def _cmd_invariants(args) -> int:
     R, meta = _load_tensor(args)
-    volume = meta.get("volume")
-    try:
-        st = find_st_basis(R, tol=args.tol, tol_mult=args.tol_mult)
-    except NotWeaklyEinstein as e:
-        report = {
-            "command": "invariants",
-            "input": _input_echo(args),
-            "verdicts": {"weakly_einstein": False},
-            "weakly_einstein_residual": _residual_dict(e.report),
-        }
-        _emit(report, args)
+    volume = meta.get("volume") if args.volume is None else args.volume
+    st = _st_basis(R, args)
+    if st is None:
         return EXIT_VERDICT
     vec = vectors_from_components(st.components, R.scale)
     inv = invariants_from_vectors(vec, R.scale, volume)
-    if volume is not None and not all(
-        map(math.isfinite, (inv.chi, inv.p1, inv.C, 1e-9 * R.scale ** 2 * volume))
-    ):
-        raise ValidationError("volume", f"{volume:g} overflows chi, p1, C or the bound slack")
-    report = {
-        "command": "invariants",
-        "input": _input_echo(args),
-        "tol": args.tol,
-        "tol_mult": args.tol_mult,
-        "seed": args.seed,
-        "verdicts": {"weakly_einstein": True},
-        "st_frame": _floats(st.frame.matrix),
-        "penalty": st.penalty,
-        "sign_cases": list(st.sign_cases.cases),
-        "st_vectors": {
+    report = _header(args)
+    report.update(
+        verdicts={"weakly_einstein": True},
+        st_frame=_floats(st.frame.matrix),
+        penalty=st.penalty,
+        sign_cases=list(st.sign_cases.cases),
+        st_vectors={
             "a_prime": _floats(vec.a_prime),
             "a_dprime": _floats(vec.a_dprime),
             "b": _floats(vec.b),
             "a": _floats(vec.a),
         },
-        "f": inv.f,
-        "f_by_case": dict(st.sign_cases.f),
-        "chi_density": inv.chi_density,
-        "p1_density": inv.p1_density,
-    }
+        f=inv.f,
+        f_by_case=dict(st.sign_cases.f),
+        chi_density=inv.chi_density,
+        p1_density=inv.p1_density,
+    )
     ok = True
     if volume is not None:
         report.update(
@@ -290,6 +274,8 @@ def _cmd_invariants(args) -> int:
 def _cmd_fuzz(args) -> int:
     if args.count < 1:
         raise ValidationError("count", "must be at least 1")
+    if args.seed < 0:
+        raise ValidationError("seed", "must be a non-negative integer")
     worst = 0.0
     worst_seed = None
     for i in range(args.count):
@@ -343,12 +329,11 @@ def _gallery_diff(name: str, params: dict, tol: float, tol_mult: float) -> dict:
         if meta.get("cases") and not set(meta["cases"]) <= set(st.sign_cases.cases):
             mismatches.append("cases")
         vec = vectors_from_components(st.components, R.scale)
-        f = f_value(vec)
-        entry["f"] = f
-        if "f" in meta and abs(f - meta["f"]) > 1e-8 * R.scale ** 2:
+        inv = invariants_from_vectors(vec, R.scale, meta.get("volume"))
+        entry["f"] = inv.f
+        if "f" in meta and abs(inv.f - meta["f"]) > 1e-8 * R.scale ** 2:
             mismatches.append("f")
         if "volume" in meta:
-            inv = invariants_from_vectors(vec, R.scale, meta["volume"])
             entry.update(chi=inv.chi, p1=inv.p1, C=inv.C, hitchin_ok=inv.hitchin_ok)
             for key in ("chi", "p1", "C"):
                 if abs(entry[key] - meta[key]) > 1e-9 * max(1.0, abs(meta[key])):
@@ -361,41 +346,55 @@ def _gallery_diff(name: str, params: dict, tol: float, tol_mult: float) -> dict:
 
 
 def _cmd_gallery(args) -> int:
+    params = _gallery_params(args)
+    if args.list + args.all + (args.name is not None) != 1:
+        raise ValidationError("name", "one of --list, --all or --name required")
+    if params and args.name is None:
+        raise ValidationError(next(iter(params)), "gallery parameters need --name")
     if args.list:
         report = {"command": "gallery", "names": list(GALLERY_NAMES)}
         _emit(report, args)
         return EXIT_OK
-    if args.all:
-        runs = [
-            _gallery_diff(name, params, args.tol, args.tol_mult)
-            for name, params in GALLERY_SUITE
-        ]
-        ok = all(r["ok"] for r in runs)
-        report = {"command": "gallery", "runs": runs, "all_ok": ok}
-        _emit(report, args)
-        return EXIT_OK if ok else EXIT_VERDICT
-    if args.name is None:
-        raise ValidationError("name", "one of --list, --all or --name required")
-    entry = _gallery_diff(args.name, _gallery_params(args), args.tol, args.tol_mult)
-    report = {"command": "gallery", "runs": [entry], "all_ok": entry["ok"]}
+    suite = GALLERY_SUITE if args.all else ((args.name, params),)
+    runs = [_gallery_diff(name, p, args.tol, args.tol_mult) for name, p in suite]
+    ok = all(r["ok"] for r in runs)
+    report = {"command": "gallery", "runs": runs, "all_ok": ok}
     _emit(report, args)
-    return EXIT_OK if entry["ok"] else EXIT_VERDICT
+    return EXIT_OK if ok else EXIT_VERDICT
 
 
 # --- argument parsing --------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser, tensor_input: bool = True) -> None:
-    if tensor_input:
-        p.add_argument("--input", help="JSON geometry document")
-        p.add_argument("--gallery", help="gallery entry name")
-        for flag in GALLERY_PARAMS:
-            p.add_argument(f"--{flag}", type=float, default=None)
-        p.add_argument("--volume", type=float, default=None)
-    p.add_argument("--json", metavar="PATH", default=None,
-                   help="write machine report to PATH ('-' for stdout)")
-    p.add_argument("--tol", type=float, default=1e-9)
-    p.add_argument("--tol-mult", dest="tol_mult", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
+#: every flag's add_argument keywords, in --help order
+_FLAGS = {
+    "input": dict(help="JSON geometry document"),
+    "gallery": dict(help="gallery entry name"),
+    **{k: dict(type=float) for k in GALLERY_PARAMS},
+    "volume": dict(type=float),
+    "json": dict(metavar="PATH", help="write machine report to PATH ('-' for stdout)"),
+    "tol": dict(type=float, default=DEFAULT_TOL),
+    "tol-mult": dict(type=float, default=DEFAULT_TOL_MULT),
+    "seed": dict(type=int, default=0),
+    "count": dict(type=int, default=100),
+    "list": dict(action="store_true", help="list gallery names"),
+    "all": dict(action="store_true", help="run the whole suite"),
+    "name": dict(help="run a single gallery entry"),
+}
+_TENSOR_FLAGS = ("input", "gallery", *GALLERY_PARAMS, "json", "tol")
+
+#: each subcommand's handler, help and the flags it reads
+_SUBCOMMANDS = {
+    "identity": (_cmd_identity, "universal curvature identity residual", _TENSOR_FLAGS),
+    "check": (_cmd_check, "Einstein / weakly-Einstein verdicts", (*_TENSOR_FLAGS, "tol-mult")),
+    "frame": (_cmd_frame, "generalized Singer-Thorpe frame search",
+              (*_TENSOR_FLAGS, "tol-mult", "seed")),
+    "invariants": (_cmd_invariants, "integrand vectors and closed-form invariants",
+                   (*_TENSOR_FLAGS, "tol-mult", "seed", "volume")),
+    "fuzz": (_cmd_fuzz, "random tensors through the identity residual",
+             ("json", "tol", "seed", "count")),
+    "gallery": (_cmd_gallery, "run the worked-example regression suite",
+                (*GALLERY_PARAMS, "json", "tol", "tol-mult", "seed", "list", "all", "name")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,34 +404,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("identity", help="universal curvature identity residual")
-    _add_common(p)
-    p.set_defaults(func=_cmd_identity)
-
-    p = sub.add_parser("check", help="Einstein / weakly-Einstein verdicts")
-    _add_common(p)
-    p.set_defaults(func=_cmd_check)
-
-    p = sub.add_parser("frame", help="generalized Singer-Thorpe frame search")
-    _add_common(p)
-    p.set_defaults(func=_cmd_frame)
-
-    p = sub.add_parser("invariants", help="integrand vectors and closed-form invariants")
-    _add_common(p)
-    p.set_defaults(func=_cmd_invariants)
-
-    p = sub.add_parser("fuzz", help="random tensors through the identity residual")
-    _add_common(p, tensor_input=False)
-    p.add_argument("--count", type=int, default=100)
-    p.set_defaults(func=_cmd_fuzz)
-
-    p = sub.add_parser("gallery", help="run the worked-example regression suite")
-    _add_common(p)
-    p.add_argument("--list", action="store_true", help="list gallery names")
-    p.add_argument("--all", action="store_true", help="run the whole suite")
-    p.add_argument("--name", default=None, help="run a single gallery entry")
-    p.set_defaults(func=_cmd_gallery)
+    for command, (func, help_text, flags) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for flag, keywords in _FLAGS.items():
+            if flag in flags:
+                p.add_argument(f"--{flag}", **keywords)
+        p.set_defaults(func=func)
     return parser
 
 

@@ -30,7 +30,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import weakly_einstein_residual
+from .analysis import DEFAULT_TOL, weakly_einstein_residual
 from .errors import (
     CaseRelationViolated,
     DegenerateFit,
@@ -520,7 +520,7 @@ def generic_st_fallback(
 
 def find_st_basis(
     R: Curvature4,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
     tol_mult: float = DEFAULT_TOL_MULT,
 ) -> STReport:
     """Find an oriented generalized Singer-Thorpe frame of a weakly-Einstein tensor.

@@ -10,7 +10,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CaseRelationViolated, OrientationReversed, SymmetryViolation
+from .errors import (
+    CaseRelationViolated, OrientationReversed, SymmetryViolation, ValidationError,
+)
 from .frames import SIGN_CASES, SIGN_TOLERANCE, _deficit, st_components
 from .tensor import Curvature4, Frame4
 
@@ -121,7 +123,8 @@ def invariants_from_vectors(
 ) -> InvariantReport:
     """homogeneous_invariants from ST vectors already read off the frame;
     scale is the tensor's tolerance scale R.scale, and the bound flags allow
-    a slack of 1e-9 * scale^2 * volume."""
+    a slack of 1e-9 * scale^2 * volume.  A volume so large that chi, p1, C or
+    the slack overflows raises ValidationError: every flag would pass."""
     chi_d, p1_d = densities(v)
     f = f_value(v)
     if volume is None:
@@ -132,6 +135,8 @@ def invariants_from_vectors(
     p1 = p1_d * volume
     C = f * volume / (2 * math.pi ** 2)
     slack = 1e-9 * scale ** 2 * volume
+    if not all(map(math.isfinite, (chi, p1, C, slack))):
+        raise ValidationError("volume", f"{volume:g} overflows chi, p1, C or the bound slack")
     return InvariantReport(
         chi_density=chi_d,
         p1_density=p1_d,

@@ -137,6 +137,57 @@ def test_gallery_all(capsys):
     assert len(rep["runs"]) >= 10
 
 
+def test_gallery_takes_exactly_one_mode(capsys):
+    for argv, field in (
+        ((), "name"),
+        (("--all", "--name", "example4", "--a", "3"), "name"),
+        (("--list", "--name", "example4"), "name"),
+        (("--list", "--all"), "name"),
+        (("--all", "--a", "3"), "a"),
+        (("--list", "--m", "2"), "m"),
+    ):
+        code, out, err = run(capsys, "gallery", *argv, "--json", "-")
+        assert code == 2 and out == ""
+        assert f"invalid field '{field}'" in err
+
+
+#: the (subcommand, flag) pairs whose flag the subcommand does not read
+REMOVED_FLAGS = [
+    ("identity", "--volume"),
+    ("identity", "--tol-mult"),
+    ("identity", "--seed"),
+    ("check", "--volume"),
+    ("check", "--seed"),
+    ("frame", "--volume"),
+    ("fuzz", "--tol-mult"),
+    ("gallery", "--input"),
+    ("gallery", "--gallery"),
+    ("gallery", "--volume"),
+]
+
+
+@pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+def test_subcommands_reject_flags_they_do_not_read(capsys, command, flag):
+    source = {"fuzz": [], "gallery": ["--all"]}.get(command, ["--gallery", "example4"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_reports_echo_the_settings_their_command_takes(capsys):
+    for command, settings in (
+        ("identity", ["tol"]),
+        ("check", ["tol", "tol_mult"]),
+        ("frame", ["tol", "tol_mult", "seed"]),
+        ("invariants", ["tol", "tol_mult", "seed"]),
+    ):
+        code, rep, _ = run_json(capsys, command, "--gallery", "example4")
+        assert code == 0
+        assert list(rep)[:2 + len(settings)] == ["command", "input", *settings]
+        assert not ({"tol", "tol_mult", "seed"} - set(settings)) & set(rep)
+
+
 def test_usage_errors_exit_two(capsys, tmp_path):
     code, _, err = run(capsys, "identity")
     assert code == 2
@@ -158,6 +209,8 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2 and "count" in err
     code, _, err = run(capsys, "fuzz", "--count", "0")
     assert code == 2
+    code, out, err = run(capsys, "fuzz", "--count", "3", "--seed", "-1")
+    assert code == 2 and "invalid field 'seed'" in err and out == ""
     code, _, err = run(capsys, "invariants", "--gallery", "example6", "--m", "2.5")
     assert code == 2 and "integer genus" in err
     for volume in ("-1", "0", "nan", "inf"):

@@ -12,7 +12,9 @@ from stframe.errors import (
     NotSTFrame,
     OrientationReversed,
     SymmetryViolation,
+    ValidationError,
 )
+from stframe.topology import invariants_from_vectors, vectors_from_components
 
 from conftest import WEAKLY_EINSTEIN_GALLERY, frame_free_invariants
 
@@ -164,3 +166,15 @@ def test_homogeneous_invariants_without_volume():
     assert inv.f == pytest.approx(-1.0)
     with pytest.raises(ValueError):
         sf.homogeneous_invariants(R, sf.identity_frame(), volume=-1.0)
+
+
+def test_invariants_reject_a_volume_that_overflows():
+    # chi and C overflow to -inf, and every bound flag would pass vacuously
+    R, _ = sf.gallery("example-pm-c", c=1e140)
+    rep = sf.find_st_basis(R)
+    with pytest.raises(ValidationError, match="1e\\+100 overflows chi, p1, C or the bound slack"):
+        sf.homogeneous_invariants(R, rep.frame, 1e100)
+    v = vectors_from_components(rep.components, R.scale)
+    with pytest.raises(ValidationError, match="'volume'"):
+        invariants_from_vectors(v, R.scale, 1e100)
+    assert math.isfinite(sf.homogeneous_invariants(R, rep.frame, 1.0).C)
