@@ -100,11 +100,11 @@ def _header(args) -> dict:
 
 
 def _load_tensor(args):
+    if (args.input is None) == (args.gallery is None):
+        raise ValidationError("input", "exactly one of --input FILE and --gallery NAME required")
     if args.gallery is not None:
         load = functools.partial(gallery, args.gallery, **_gallery_params(args))
         return _checked_tensor(args.gallery, load)
-    if args.input is None:
-        raise ValidationError("input", "either --input FILE or --gallery NAME required")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -397,13 +397,23 @@ _SUBCOMMANDS = {
 }
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: it reports a flag it does not take, with its usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(extras))
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stframe",
         description="Pointwise curvature analysis of 4D Riemannian metrics",
     )
     parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
     for command, (func, help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         for flag, keywords in _FLAGS.items():

@@ -23,9 +23,10 @@ root of one quartic.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -79,14 +80,10 @@ _PLANE_FLAT = (
 
 # --- eigensolver -------------------------------------------------------------
 
-def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, Frame4]:
-    """Diagonalization of a symmetric 4x4 matrix by LAPACK's eigh.
-
-    Returns eigenvalues sorted descending and the frame whose rows are the
-    matching orthonormal eigenvectors, orientation-corrected to det +1.
-    max |M_ij| is computed once: it is the finiteness test (a NaN or an
-    infinite entry makes it non-finite) and the scale of the symmetry test.
-    """
+def _checked_eigh(M) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a 4x4 matrix: eigenvalues descending and eigh's eigenvector
+    columns.  max |M_ij| is the finiteness test (NaN and inf make it
+    non-finite) and the symmetry test's scale; NoConvergence on a failure."""
     M = np.asarray(M, dtype=float)
     scale = np.abs(M).max() if M.shape == (4, 4) else math.nan
     if not scale < math.inf:
@@ -97,10 +94,23 @@ def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, Frame4]:
         eig, vecs = np.linalg.eigh(M)
     except np.linalg.LinAlgError as e:
         raise NoConvergence(str(e)) from e
+    return eig[::-1].copy(), vecs
+
+
+def _eigenframe(vecs: np.ndarray) -> Frame4:
+    """eigh's eigenvector columns vecs as frame rows, descending, at det +1."""
     rows = vecs.T[::-1].copy()
     if np.linalg.det(rows) < 0:
         rows[3] = -rows[3]
-    return eig[::-1].copy(), Frame4(rows)
+    return Frame4(rows)
+
+
+def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, Frame4]:
+    """Diagonalization of a symmetric 4x4 matrix by LAPACK's eigh: eigenvalues
+    sorted descending and the frame whose rows are the matching orthonormal
+    eigenvectors, orientation-corrected to det +1."""
+    eig, vecs = _checked_eigh(M)
+    return eig, _eigenframe(vecs)
 
 
 # --- multiplicity patterns ---------------------------------------------------
@@ -116,9 +126,15 @@ class MultiplicityPattern:
 
 @dataclass(frozen=True)
 class RicciSpectrum:
+    """Ricci eigenvalues, their pattern and eigenframe, built on first read."""
+
     eigenvalues: np.ndarray
-    frame: Frame4
     pattern: MultiplicityPattern
+    _vectors: np.ndarray = field(repr=False)
+
+    @functools.cached_property
+    def frame(self) -> Frame4:
+        return _eigenframe(self._vectors)
 
 
 def _pattern_of_merges(merges: tuple[bool, bool, bool]) -> MultiplicityPattern:
@@ -157,13 +173,9 @@ def multiplicity_pattern(eigenvalues, threshold: float) -> MultiplicityPattern:
 
 def ricci_spectrum(R: Curvature4, tol_mult: float = DEFAULT_TOL_MULT) -> RicciSpectrum:
     """Ricci eigenvalues and eigenframe; eigenvalues within tol_mult * R.scale
-    of each other count as equal."""
-    eig, frame = sym_eigen(ricci(R))
-    return RicciSpectrum(
-        eigenvalues=eig,
-        frame=frame,
-        pattern=multiplicity_pattern(eig, tol_mult * R.scale),
-    )
+    of each other count as equal.  The eigenframe is built only when read."""
+    eig, vecs = _checked_eigh(ricci(R))
+    return RicciSpectrum(eig, multiplicity_pattern(eig, tol_mult * R.scale), vecs)
 
 
 # --- penalty -----------------------------------------------------------------

@@ -172,7 +172,10 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, command, flag):
     with pytest.raises(SystemExit) as exc:
         main([command, *source, flag, "1"])
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    # the subcommand's own parser reports the flag, with its own usage line
+    assert err.startswith(f"usage: stframe {command} ")
+    assert f"stframe {command}: error: unrecognized arguments: {flag} 1" in err
 
 
 def test_reports_echo_the_settings_their_command_takes(capsys):
@@ -195,6 +198,10 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2
     code, _, err = run(capsys, "identity", "--input", str(tmp_path / "missing.json"))
     assert code == 2
+    # --input and --gallery exclude one another, whether or not the file exists
+    code, out, err = run(capsys, "identity", "--input", str(tmp_path / "missing.json"),
+                         "--gallery", "example4")
+    assert code == 2 and "invalid field 'input'" in err and out == ""
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
     code, _, err = run(capsys, "identity", "--input", str(bad))

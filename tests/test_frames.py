@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import stframe as sf
+from stframe.cli import GALLERY_SUITE
 from stframe.errors import (
     CaseRelationViolated,
     DegenerateFit,
@@ -168,6 +169,40 @@ def test_ricci_spectrum_of_gallery_tensor():
     spec = sf.ricci_spectrum(R)
     assert np.abs(spec.eigenvalues - np.asarray(meta["eigenvalues"])).max() < 1e-10
     assert spec.pattern.tag == "II"
+
+
+def test_ricci_spectrum_builds_its_frame_on_first_read(monkeypatch):
+    built = []
+
+    def counting_frame4(rows):
+        built.append(rows)
+        return sf.Frame4(rows)
+
+    monkeypatch.setattr(sf.frames, "Frame4", counting_frame4)
+    spec = sf.ricci_spectrum(sf.gallery("example4", a=1.0, b=0.5)[0])
+    assert spec.pattern.tag == "II" and spec.eigenvalues.shape == (4,)
+    assert built == []
+    frame = spec.frame
+    assert len(built) == 1
+    assert spec.frame is frame and len(built) == 1
+
+
+def test_ricci_spectrum_frame_is_sym_eigen_frame():
+    tensors = [sf.gallery(name, **params)[0] for name, params in GALLERY_SUITE]
+    tensors += [sf.random_curvature(seed) for seed in range(50)]
+    for R in tensors:
+        spec = sf.ricci_spectrum(R)
+        eig, frame = sf.sym_eigen(sf.ricci(R))
+        assert np.array_equal(spec.eigenvalues, eig)
+        assert np.array_equal(spec.frame.matrix, frame.matrix)
+        assert spec.frame.orientation == 1
+
+
+def test_ricci_spectrum_rejects_non_finite_ricci_tensor():
+    # components near the float maximum: the Ricci sums overflow to inf
+    R = sf.Curvature4(1.5e308 * sf.space_form_product(1.0).comp)
+    with np.errstate(over="ignore"), pytest.raises(NoConvergence, match="finite"):
+        sf.ricci_spectrum(R)
 
 
 # --- penalty ------------------------------------------------------------------
@@ -465,15 +500,15 @@ def test_find_st_basis_on_generated_tensors(eps):
             assert (f, *sf.densities(v)) == pytest.approx(
                 frame_free_invariants(R.comp), abs=1e-12 * R.scale ** 2
             )
-            # f_by_case checks a case's relation against max(1, max |lambda|),
-            # which a Ricci-flat spectrum (rounding noise) misses above a
-            # scale of about 1e7, a known fault listed in CHANGES.md; on those
-            # shapes only the f the sign-case set carries is checked
+            # f_by_case checks a case's relation against the scale it is
+            # given: R.scale, which a Ricci-flat spectrum (rounding noise of
+            # that size) meets, and by default max |lambda|, which it need not
             for case in rep.sign_cases.cases:
                 assert rep.sign_cases.f[case] == pytest.approx(f, abs=1e-9 * R.scale ** 2)
+                f_case = sf.f_by_case(rep.sign_cases.eigenvalues, case, scale=R.scale)
+                assert f_case == pytest.approx(f, abs=1e-9 * R.scale ** 2)
                 if not flat:
-                    f_case = sf.f_by_case(rep.sign_cases.eigenvalues, case)
-                    assert f_case == pytest.approx(f, abs=1e-9 * R.scale ** 2)
+                    assert sf.f_by_case(rep.sign_cases.eigenvalues, case) == f_case
 
 
 def test_find_st_basis_pattern_v_takes_eigenbasis_at_small_ricci_gaps():
