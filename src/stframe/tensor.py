@@ -199,7 +199,6 @@ def derived_tensors(R: Curvature4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def rotate(R: Curvature4, F: Frame4) -> Curvature4:
     """Components of R in the frame F: R'_ijkl = R(e'_i, e'_j, e'_k, e'_l)."""
-    # k = kron(m, m) as one product: k[(i, j), (a, b)] = m_ia m_jb acts on both pairs
-    m = F.matrix
-    k = (m[:, None, :, None] * m[None, :, None, :]).reshape(16, 16)
+    # kron(m, m)[(i, j), (a, b)] = m_ia m_jb acts on both index pairs at once
+    k = np.kron(F.matrix, F.matrix)
     return Curvature4((k @ R.comp.reshape(16, 16) @ k.T).reshape((DIM,) * 4))

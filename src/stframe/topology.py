@@ -77,21 +77,20 @@ def f_value(v: STVectors) -> float:
     return float(v.a @ v.a - v.a_prime @ v.a_prime)
 
 
-def f_by_case(eigenvalues, case: str, scale: float | None = None) -> float:
+def f_by_case(eigenvalues, case: str) -> float:
     """The deficit f = -|rho_0|^2 / 4 from the Ricci eigenvalues of a sign
     case, rho_0 the traceless Ricci tensor.
 
     The eigenvalues must be ordered as in the classifying frame; the case's
-    eigenvalue relation is checked to SIGN_TOLERANCE * scale
-    (CaseRelationViolated otherwise).  scale defaults to max |lambda|; pass
-    R.scale: a Ricci-flat R's eigenvalues are rounding noise of that size.
+    eigenvalue relation is checked to SIGN_TOLERANCE (CaseRelationViolated
+    otherwise).
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (4,):
         raise ValueError("expected four eigenvalues")
     if case not in SIGN_CASES:
         raise ValueError(f"unknown sign case {case!r}")
-    scale = float(np.abs(lam).max()) if scale is None else scale
+    scale = max(1.0, float(np.abs(lam).max()))
     if SIGN_CASES[case].relation(*lam) > SIGN_TOLERANCE * scale:
         raise CaseRelationViolated(
             f"eigenvalues violate the relation of case ({case})"

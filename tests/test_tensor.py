@@ -121,18 +121,6 @@ def test_rotate_matches_loop_oracle():
     assert np.abs(rotated.comp - oracle).max() < 1e-12
 
 
-def test_rotate_factor_is_kron_bit_for_bit():
-    # rotate builds kron(m, m) as one broadcast product; each entry is the
-    # same single product m_ia m_jb, so the rotated components keep their bits
-    R = sf.random_curvature(31)
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        F = sf.random_frame(rng)
-        k = np.kron(F.matrix, F.matrix)
-        expected = (k @ R.comp.reshape(16, 16) @ k.T).reshape((4,) * 4)
-        assert np.array_equal(sf.rotate(R, F).comp, expected)
-
-
 def test_rotate_identity_is_identity():
     R = sf.random_curvature(19)
     assert np.abs(sf.rotate(R, sf.identity_frame()).comp - R.comp).max() == 0.0

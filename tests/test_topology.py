@@ -107,19 +107,18 @@ def test_f_by_case_validates_input():
         sf.f_by_case([1.0, 2.0, 3.0, 4.0], "ii")
 
 
-def test_f_by_case_on_rotated_ricci_flat_tensor_at_large_scale():
+def test_f_by_case_on_rotated_ricci_flat_tensor_at_unit_scale():
     # eps = (1, 1, 1) and a'_1 + a'_2 + a'_3 = 0 make the tensor Ricci-flat:
-    # its Ricci eigenvalues are rounding noise of size eps * max |R|, which
-    # the case relations meet against R.scale
+    # its Ricci eigenvalues are rounding noise, which the default relation
+    # check, SIGN_TOLERANCE * max(1, max |lambda|), admits at unit scale
     rng = np.random.default_rng(3)
-    a, b = np.array([0.7, -0.2, -0.5]), np.array([0.4, -0.9, 0.5])
+    R0 = st_construction((0.7, -0.2, -0.5), (1, 1, 1), (0.4, -0.9, 0.5))
     for _ in range(20):
-        R = sf.rotate(st_construction(1e9 * a, (1, 1, 1), 1e9 * b), sf.random_frame(rng))
-        rep = sf.find_st_basis(R)
+        rep = sf.find_st_basis(sf.rotate(R0, sf.random_frame(rng)))
         assert rep.sign_cases.cases
         for case in rep.sign_cases.cases:
-            f = sf.f_by_case(rep.sign_cases.eigenvalues, case, scale=R.scale)
-            assert f == pytest.approx(0.0, abs=1e-12 * R.scale ** 2)
+            f = sf.f_by_case(rep.sign_cases.eigenvalues, case)
+            assert f == pytest.approx(0.0, abs=1e-12)
 
 
 def test_f_by_case_matches_f_value_on_gallery():
