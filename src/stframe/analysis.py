@@ -13,7 +13,7 @@ from .tensor import _EYE, Curvature4, _lrho, _rcheck, ricci
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualReport:
     matrix: np.ndarray
     max_abs: float

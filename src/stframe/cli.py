@@ -138,25 +138,28 @@ def _residual_dict(rep) -> dict:
 
 
 def _emit(report: dict, args) -> None:
-    _print_human(report)
-    if args.json is not None:
-        text = render_json(report) + "\n"
-        if args.json == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text)
+    """The human-readable lines, then with --json - the JSON report, in one
+    write to stdout; with --json PATH the JSON report goes to PATH."""
+    human = "".join(_human_lines(report))
+    if args.json is None:
+        sys.stdout.write(human)
+    elif args.json == "-":
+        sys.stdout.write(human + render_json(report) + "\n")
+    else:
+        sys.stdout.write(human)
+        with open(args.json, "w", encoding="utf-8") as fh:
+            fh.write(render_json(report) + "\n")
 
 
-def _print_human(report: dict, prefix: str = "") -> None:
+def _human_lines(report: dict, prefix: str = ""):
     for key, value in report.items():
         if isinstance(value, dict):
-            print(f"{prefix}{key}:")
-            _print_human(value, prefix + "  ")
+            yield f"{prefix}{key}:\n"
+            yield from _human_lines(value, prefix + "  ")
         elif isinstance(value, (list, tuple)) and len(value) > 8:
-            print(f"{prefix}{key}: [{len(value)} values]")
+            yield f"{prefix}{key}: [{len(value)} values]\n"
         else:
-            print(f"{prefix}{key}: {value}")
+            yield f"{prefix}{key}: {value}\n"
 
 
 def _st_basis(R, args, **verdicts):
@@ -236,8 +239,9 @@ def _cmd_invariants(args) -> int:
     st = _st_basis(R, args)
     if st is None:
         return EXIT_VERDICT
-    vec = vectors_from_components(st.components, R.scale)
-    inv = invariants_from_vectors(vec, R.scale, volume)
+    scale = R.scale
+    vec = vectors_from_components(st.components, scale)
+    inv = invariants_from_vectors(vec, scale, volume)
     report = _header(args)
     report.update(
         verdicts={"weakly_einstein": True},

@@ -76,6 +76,10 @@ _PLANE_FLAT = (
     _flat_positions((i, j, i, j) for (i, j), _ in PLANE_PAIRS),
     _flat_positions((k, l, k, l) for _, (k, l) in PLANE_PAIRS),
 )
+#: both rows of _PLANE_FLAT, and the 30 components the penalty reads: the
+#: mixed components, then the plane components
+_PLANES_FLAT = np.concatenate(_PLANE_FLAT)
+_PENALTY_FLAT = np.concatenate((_MIXED_FLAT, _PLANES_FLAT))
 
 
 # --- eigensolver -------------------------------------------------------------
@@ -124,13 +128,15 @@ class MultiplicityPattern:
     canonical_order: tuple[int, int, int, int]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RicciSpectrum:
-    """Ricci eigenvalues, their pattern and eigenframe, built on first read."""
+    """Eigenvalues of the Ricci tensor _rho, their pattern and eigenframe,
+    built on first read."""
 
     eigenvalues: np.ndarray
     pattern: MultiplicityPattern
     _vectors: np.ndarray = field(repr=False)
+    _rho: np.ndarray = field(repr=False)
 
     @functools.cached_property
     def frame(self) -> Frame4:
@@ -174,8 +180,14 @@ def multiplicity_pattern(eigenvalues, threshold: float) -> MultiplicityPattern:
 def ricci_spectrum(R: Curvature4, tol_mult: float = DEFAULT_TOL_MULT) -> RicciSpectrum:
     """Ricci eigenvalues and eigenframe; eigenvalues within tol_mult * R.scale
     of each other count as equal.  The eigenframe is built only when read."""
-    eig, vecs = _checked_eigh(ricci(R))
-    return RicciSpectrum(eig, multiplicity_pattern(eig, tol_mult * R.scale), vecs)
+    return _spectrum(R, tol_mult * R.scale)
+
+
+def _spectrum(R: Curvature4, threshold: float) -> RicciSpectrum:
+    """ricci_spectrum with eigenvalues within threshold of each other equal."""
+    rho = ricci(R)
+    eig, vecs = _checked_eigh(rho)
+    return RicciSpectrum(eig, multiplicity_pattern(eig, threshold), vecs, rho)
 
 
 # --- penalty -----------------------------------------------------------------
@@ -183,9 +195,9 @@ def ricci_spectrum(R: Curvature4, tol_mult: float = DEFAULT_TOL_MULT) -> RicciSp
 def _residuals(comp: np.ndarray, scale: float) -> np.ndarray:
     """The 27 penalty residuals of components comp: the 24 mixed components
     over scale, then the three plane-pair differences a^2 - b^2 over scale^2."""
-    flat = comp.reshape(-1) / scale
-    first, second = flat[_PLANE_FLAT[0]], flat[_PLANE_FLAT[1]]
-    return np.concatenate((flat[_MIXED_FLAT], first * first - second * second))
+    read = comp.reshape(-1)[_PENALTY_FLAT] / scale
+    first, second = read[24:27], read[27:]
+    return np.concatenate((read[:24], first * first - second * second))
 
 
 def _penalty_of_components(comp: np.ndarray, scale: float) -> float:
@@ -274,7 +286,7 @@ def trig_fit_extremum(samples) -> float:
 
 # --- sign-case classification ------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignCaseSet:
     """Sign cases admitted by a generalized Singer-Thorpe frame."""
 
@@ -321,9 +333,10 @@ def _sign_cases(comp: np.ndarray, scale: float) -> SignCaseSet:
     """Sign cases read off the components of a tensor in an ST frame."""
     tol = SIGN_TOLERANCE * scale
     lam = np.einsum("aija->ij", comp).diagonal().copy()
+    # the tests on plain floats, which are cheaper than numpy scalars
+    planes = comp.reshape(-1)[_PLANES_FLAT].tolist()
     epsilons_per_pair = []
-    for (i, j), (k, l) in PLANE_PAIRS:
-        a, b = comp[i, j, i, j], comp[k, l, k, l]
+    for ((i, j), (k, l)), a, b in zip(PLANE_PAIRS, planes[:3], planes[3:]):
         signs = [e for e in (1, -1) if abs(a - e * b) <= tol]
         if not signs:
             raise NotSTFrame(
@@ -331,10 +344,11 @@ def _sign_cases(comp: np.ndarray, scale: float) -> SignCaseSet:
             )
         epsilons_per_pair.append(signs)
     residuals = {}
+    lams = lam.tolist()
     for case, (signs, relation) in SIGN_CASES.items():
         if not all(e in admissible for e, admissible in zip(signs, epsilons_per_pair)):
             continue
-        resid = relation(*lam)
+        resid = relation(*lams)
         if resid <= tol:
             residuals[case] = resid
     if not residuals:
@@ -363,7 +377,7 @@ def classify_sign_cases(R: Curvature4, F: Frame4) -> SignCaseSet:
 
 # --- constructive search -----------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class STReport:
     frame: Frame4
     penalty: float
@@ -389,6 +403,7 @@ _LAMBDA_PM = np.array([
     for s in (1, -1)
     for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2))
 ])
+_QUARTER_LAMBDA_PM = 0.25 * _LAMBDA_PM
 
 #: per multiplicity pattern, the positions (in descending order) of the
 #: cluster of equal singular values of the Lambda+ x Lambda- block, and
@@ -417,13 +432,14 @@ def _closed_form_frame(R: Curvature4, spectrum: RicciSpectrum) -> Frame4:
     rows are ordered as the spectrum's canonical eigenframe, with e3 and e4
     swapped when that makes the orientation -1.
     """
-    M = 0.25 * _LAMBDA_PM @ R.comp.reshape(16, 16) @ _LAMBDA_PM.T
+    M = _QUARTER_LAMBDA_PM @ R.comp.reshape(16, 16) @ _LAMBDA_PM.T
     A, B, C = M[:3, :3], M[:3, 3:], M[3:, 3:]
     up, sigma, vt = np.linalg.svd(B)
     um = vt.T
     cluster, zero = _CLUSTERS[spectrum.pattern.tag]
     if cluster is None:  # the closer of the two adjacent pairs
-        cluster = (0, 1) if sigma[0] - sigma[1] < sigma[1] - sigma[2] else (1, 2)
+        s0, s1, s2 = sigma.tolist()
+        cluster = (0, 1) if s0 - s1 < s1 - s2 else (1, 2)
     cluster = list(cluster)
     if cluster:
         wp, wm = up[:, cluster], um[:, cluster]
@@ -438,14 +454,16 @@ def _closed_form_frame(R: Curvature4, spectrum: RicciSpectrum) -> Frame4:
         else:
             q = np.linalg.eigh(ap - cm)[1]
             up[:, cluster], um[:, cluster] = wp @ q, wm @ q
-    for u in (up, um):
-        if np.linalg.det(u) < 0:
+    for u, det in zip((up, um), np.linalg.det(np.stack((up, um)))):
+        if det < 0:
             u[:, 2] = -u[:, 2]
     omega = ((up.T @ _LAMBDA_PM[:3] + um.T @ _LAMBDA_PM[3:]) / math.sqrt(2)).reshape(3, 4, 4)
     e0 = np.linalg.eigh(np.einsum("iab,icb->ac", omega, omega))[1][:, -1]
-    rows = np.vstack([e0, -omega @ e0])
-    diag = np.einsum("ia,ab,ib->i", rows, ricci(R), rows)
-    rows = rows[np.argsort(-diag, kind="stable")][list(spectrum.pattern.canonical_order)]
+    rows = np.concatenate((e0[None], -omega @ e0))
+    # the order of pattern II's two equal-eigenvalue rows follows the last
+    # bits of diag, so these einsums are not rewritten as matmuls
+    diag = np.einsum("ia,ab,ib->i", rows, spectrum._rho, rows)
+    rows = rows[np.argsort(-diag, kind="stable")[list(spectrum.pattern.canonical_order)]]
     if np.linalg.det(rows) < 0:
         # swapping e3 and e4 permutes the penalty's terms: an ST frame stays one
         rows = rows[[0, 1, 3, 2]]
@@ -545,7 +563,8 @@ def find_st_basis(
     wres = weakly_einstein_residual(R, tol)
     if not wres.passes:
         raise NotWeaklyEinstein(wres)
-    spectrum = ricci_spectrum(R, tol_mult)
+    scale = R.scale
+    spectrum = _spectrum(R, tol_mult * scale)
 
     # rho is diagonal in an ST frame, so when the Ricci eigenvalues are apart
     # (pattern V) the eigenframe is one; a repeated eigenvalue leaves the
@@ -555,14 +574,14 @@ def find_st_basis(
     else:
         frame, path = _closed_form_frame(R, spectrum), "closed-form"
     comp = rotate(R, frame).comp
-    penalty = _penalty_of_components(comp, R.scale)
+    penalty = _penalty_of_components(comp, scale)
     if penalty >= PENALTY_TOLERANCE:
         raise SearchFailed(penalty, {path: penalty})
     return STReport(
         frame=frame,
         penalty=penalty,
         construction_path=path,
-        sign_cases=_sign_cases(comp, R.scale),
+        sign_cases=_sign_cases(comp, scale),
         eigen=spectrum,
         components=comp,
     )

@@ -24,7 +24,7 @@ from .tensor import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LieAlgebra4:
     """Structure constants of a 4D metric Lie algebra: [e_i, e_j] = sum_k c_ijk e_k
     for an orthonormal basis."""
@@ -51,7 +51,7 @@ class LieAlgebra4:
         object.__setattr__(self, "c", c)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Connection4:
     """Levi-Civita connection coefficients Gamma_ijk = <nabla_{e_i} e_j, e_k>."""
 
@@ -82,8 +82,8 @@ def lie_group_curvature(g: LieAlgebra4) -> tuple[Connection4, Curvature4]:
 def surface_product(c1: float, c2: float) -> Curvature4:
     """Product of surfaces with Gaussian curvatures c1 (plane e1,e2) and c2 (plane e3,e4)."""
     comp = np.zeros((DIM,) * 4)
-    _set_orbit(comp, 0, 1, 0, 1, -c1)
-    _set_orbit(comp, 2, 3, 2, 3, -c2)
+    _set_orbit(comp.reshape(-1), 0, 1, 0, 1, -c1)
+    _set_orbit(comp.reshape(-1), 2, 3, 2, 3, -c2)
     return make_curvature(comp)
 
 
@@ -92,7 +92,7 @@ def space_form_product(c: float) -> Curvature4:
     comp = np.zeros((DIM,) * 4)
     for i in range(3):
         for j in range(i + 1, 3):
-            _set_orbit(comp, i, j, i, j, -c)
+            _set_orbit(comp.reshape(-1), i, j, i, j, -c)
     return make_curvature(comp)
 
 
@@ -285,7 +285,7 @@ _INDICES = frozenset((1, 2, 3, 4))
 def _require_rows(key: str, entries: list, shape: str, width: int) -> list[tuple]:
     """The rows [index, ..., value] of a list of width-long rows, each index an
     integer in 1..4 and the value a finite number, checked column by column."""
-    if not all(type(row) is list and len(row) == width for row in entries):
+    if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {width}):
         raise ValidationError(key, f"each row must be {shape}")
     if not entries:
         return []
@@ -369,12 +369,17 @@ def realize(spec: GeometrySpec) -> tuple[Curvature4, dict]:
         R = constant_curvature(p["c"])
         meta.update(c=p["c"])
     elif spec.kind == "raw_curvature":
-        comp = np.zeros((DIM,) * 4)
-        for i, j, k, l, v in p["components"]:
-            comp[i - 1, j - 1, k - 1, l - 1] = v
-            if p["symmetry_closure"]:
-                _set_orbit(comp, i - 1, j - 1, k - 1, l - 1, v)
-        R = make_curvature(comp)
+        # plain list writes in document order: the last row (or closure
+        # orbit) to name a component sets it, which a fancy-indexed numpy
+        # assignment with repeated indices does not promise
+        flat = [0.0] * DIM ** 4
+        if p["symmetry_closure"]:
+            for i, j, k, l, v in p["components"]:
+                _set_orbit(flat, i - 1, j - 1, k - 1, l - 1, v)
+        else:
+            for i, j, k, l, v in p["components"]:
+                flat[64 * i + 16 * j + 4 * k + l - 85] = v
+        R = make_curvature(np.array(flat).reshape((DIM,) * 4))
     elif spec.kind == "gallery":
         name = p["name"]
         kwargs = {k: v for k, v in p.items() if k != "name"}
@@ -388,16 +393,18 @@ def realize(spec: GeometrySpec) -> tuple[Curvature4, dict]:
     return R, meta
 
 
-def _set_orbit(comp: np.ndarray, i: int, j: int, k: int, l: int, v: float) -> None:
-    """Fill the full symmetry orbit of one listed component (0-based indices)."""
-    for (a, b, c, d), s in (
-        ((i, j, k, l), 1.0),
-        ((j, i, k, l), -1.0),
-        ((i, j, l, k), -1.0),
-        ((j, i, l, k), 1.0),
-        ((k, l, i, j), 1.0),
-        ((l, k, i, j), -1.0),
-        ((k, l, j, i), -1.0),
-        ((l, k, j, i), 1.0),
+def _set_orbit(flat, i: int, j: int, k: int, l: int, v: float) -> None:
+    """Fill the full symmetry orbit of one listed component (0-based indices)
+    in the 256 flat components of a 4x4x4x4 array, in a fixed order."""
+    ij, ji, kl, lk = 4 * i + j, 4 * j + i, 4 * k + l, 4 * l + k
+    for pos, s in (
+        (16 * ij + kl, 1.0),
+        (16 * ji + kl, -1.0),
+        (16 * ij + lk, -1.0),
+        (16 * ji + lk, 1.0),
+        (16 * kl + ij, 1.0),
+        (16 * lk + ij, -1.0),
+        (16 * kl + ji, -1.0),
+        (16 * lk + ji, 1.0),
     ):
-        comp[a, b, c, d] = s * v
+        flat[pos] = s * v

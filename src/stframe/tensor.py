@@ -9,6 +9,7 @@ Ricci eigenvalues (-8, 0, 2, -2).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -30,7 +31,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 _EYE = _frozen(np.eye(DIM))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Curvature4:
     """All 256 components of an algebraic curvature tensor at a point.
 
@@ -50,7 +51,7 @@ class Curvature4:
         return float(np.abs(self.comp).max()) or 1.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame4:
     """Orthonormal frame: rows are the new frame vectors in reference coordinates.
 
@@ -122,9 +123,12 @@ def make_curvature(raw: np.ndarray) -> Curvature4:
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (DIM,) * 4:
         raise SymmetryViolation("shape", raw.shape, float("nan"))
-    if not np.all(np.isfinite(raw)):
+    # max |R_ijkl| is both the finiteness test (NaN and inf make it
+    # non-finite) and the tolerance's scale
+    scale = float(np.abs(raw).max())
+    if not scale < math.inf:
         raise SymmetryViolation("finiteness", (), float("nan"))
-    tol = 1e-10 * float(np.abs(raw).max())
+    tol = 1e-10 * scale
     checks = [
         ("antisymmetry in first pair", raw + raw.transpose(1, 0, 2, 3)),
         ("antisymmetry in last pair", raw + raw.transpose(0, 1, 3, 2)),
@@ -199,6 +203,8 @@ def derived_tensors(R: Curvature4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def rotate(R: Curvature4, F: Frame4) -> Curvature4:
     """Components of R in the frame F: R'_ijkl = R(e'_i, e'_j, e'_k, e'_l)."""
-    # kron(m, m)[(i, j), (a, b)] = m_ia m_jb acts on both index pairs at once
-    k = np.kron(F.matrix, F.matrix)
+    # k[(i, j), (a, b)] = m_ia m_jb, np.kron(m, m) bit for bit, acts on both
+    # index pairs at once
+    m = F.matrix
+    k = (m[:, None, :, None] * m[None, :, None, :]).reshape(16, 16)
     return Curvature4((k @ R.comp.reshape(16, 16) @ k.T).reshape((DIM,) * 4))

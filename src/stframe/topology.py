@@ -13,11 +13,11 @@ import numpy as np
 from .errors import (
     CaseRelationViolated, OrientationReversed, SymmetryViolation, ValidationError,
 )
-from .frames import SIGN_CASES, SIGN_TOLERANCE, _deficit, st_components
+from .frames import SIGN_CASES, SIGN_TOLERANCE, _deficit, _flat_positions, st_components
 from .tensor import Curvature4, Frame4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class STVectors:
     """Plane-curvature and double-plane component vectors read off an oriented
     generalized Singer-Thorpe frame."""
@@ -57,14 +57,19 @@ def st_vectors(R: Curvature4, F: Frame4) -> STVectors:
     return vectors_from_components(st_components(R, F), R.scale)
 
 
+#: flat positions of the components of a', a'' and b, one row each
+_VECTORS_FLAT = _flat_positions((
+    (0, 1, 0, 1), (0, 2, 0, 2), (0, 3, 0, 3),
+    (2, 3, 2, 3), (1, 3, 1, 3), (1, 2, 1, 2),
+    (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2),
+)).reshape(3, 3)
+
+
 def vectors_from_components(c: np.ndarray, scale: float) -> STVectors:
     """st_vectors from the components c of a tensor of tolerance scale
     R.scale in an oriented ST frame, such as STReport.components."""
-    v = STVectors(
-        a_prime=np.array([c[0, 1, 0, 1], c[0, 2, 0, 2], c[0, 3, 0, 3]]),
-        a_dprime=np.array([c[2, 3, 2, 3], c[1, 3, 1, 3], c[1, 2, 1, 2]]),
-        b=np.array([c[0, 1, 2, 3], c[0, 2, 3, 1], c[0, 3, 1, 2]]),
-    )
+    a_prime, a_dprime, b = c.reshape(-1)[_VECTORS_FLAT]
+    v = STVectors(a_prime=a_prime, a_dprime=a_dprime, b=b)
     bianchi = abs(float(v.b.sum()))
     if bianchi > 1e-10 * scale:
         # b1 + b2 + b3 is the Bianchi sum at index (0, 1, 2, 3)
@@ -74,7 +79,8 @@ def vectors_from_components(c: np.ndarray, scale: float) -> STVectors:
 
 def f_value(v: STVectors) -> float:
     """Non-positive deficit f = |a|^2 - |a'|^2; zero exactly at Einstein points."""
-    return float(v.a @ v.a - v.a_prime @ v.a_prime)
+    a = v.a
+    return float(a @ a - v.a_prime @ v.a_prime)
 
 
 def f_by_case(eigenvalues, case: str) -> float:

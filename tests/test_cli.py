@@ -348,6 +348,25 @@ def test_json_report_written_to_file(capsys, tmp_path):
     assert rep["command"] == "identity"
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["check", "--gallery", "example4"], 0),
+        (["check", "--gallery", "example-s2-1"], 1),
+        (["frame", "--gallery", "example4", "--a", "1", "--b", "0.5"], 0),
+        (["frame", "--gallery", "example-s2-1"], 1),
+        (["invariants", "--gallery", "example6", "--m", "2"], 0),
+        (["invariants", "--gallery", "example-s2-1"], 1),
+    ],
+)
+def test_json_file_holds_the_text_printed_after_the_human_lines(capsys, tmp_path, argv, code):
+    path = tmp_path / "report.json"
+    assert main(argv + ["--json", str(path)]) == code
+    human = capsys.readouterr().out
+    assert main(argv + ["--json", "-"]) == code
+    assert capsys.readouterr().out == human + path.read_text(encoding="utf-8")
+
+
 def test_machine_reports_are_byte_identical(capsys, tmp_path):
     commands = [
         ["frame", "--gallery", "example4", "--a", "1", "--b", "0.5", "--seed", "3"],

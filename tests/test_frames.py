@@ -22,6 +22,7 @@ from stframe.frames import (
     PENALTY_TOLERANCE,
     PLANE_PAIRS,
     SIGN_CASES,
+    _residuals,
     st_components,
 )
 
@@ -240,6 +241,24 @@ def test_st_penalty_in_random_frame_matches_loop_rotation():
         F = sf.random_frame(np.random.default_rng(seed))
         expected = _explicit_penalty(loop_rotate(R.comp, F.matrix), R.scale)
         assert sf.st_penalty(R, F) == pytest.approx(expected, rel=1e-12)
+
+
+def test_penalty_residuals_equal_their_scalar_reads(pattern_ii_tensor):
+    # one gather of the 30 components gives each residual the bits of the
+    # component read on its own and divided by the scale
+    R = sf.random_curvature(47)
+    F = sf.random_frame(np.random.default_rng(47))
+    for T, comp in (
+        (R, R.comp),
+        (R, sf.rotate(R, F).comp),
+        (pattern_ii_tensor, sf.find_st_basis(pattern_ii_tensor).components),
+    ):
+        s = T.scale
+        expected = [comp[i, j, j, k] / s for i, j, k in MIXED_TRIPLES]
+        for (i, j), (k, l) in PLANE_PAIRS:
+            a, b = comp[i, j, i, j] / s, comp[k, l, k, l] / s
+            expected.append(a * a - b * b)
+        assert np.array_equal(_residuals(comp, s), np.array(expected))
 
 
 # --- trigonometric interpolation ---------------------------------------------

@@ -264,6 +264,48 @@ def test_raw_curvature_with_symmetry_closure():
     assert np.abs(R.comp - sf.surface_product(1.0, 1.0).comp).max() == 0.0
 
 
+def _row_loop(rows, closure: bool) -> np.ndarray:
+    """Reference for realize: each row written into a zero array in document
+    order, under closure followed by its whole symmetry orbit."""
+    comp = np.zeros((4,) * 4)
+    for i, j, k, l, v in rows:
+        i, j, k, l = i - 1, j - 1, k - 1, l - 1
+        comp[i, j, k, l] = v
+        if closure:
+            for idx, s in (
+                ((i, j, k, l), 1.0), ((j, i, k, l), -1.0),
+                ((i, j, l, k), -1.0), ((j, i, l, k), 1.0),
+                ((k, l, i, j), 1.0), ((l, k, i, j), -1.0),
+                ((k, l, j, i), -1.0), ((l, k, j, i), 1.0),
+            ):
+                comp[idx] = s * v
+    return comp
+
+
+def _rows(comp: np.ndarray) -> list:
+    return [[i + 1, j + 1, k + 1, l + 1, float(comp[i, j, k, l])]
+            for i, j, k, l in np.ndindex(comp.shape)]
+
+
+def test_raw_curvature_rows_are_written_in_document_order():
+    rng = np.random.default_rng(7)
+    first, last = _rows(sf.random_curvature(1).comp), _rows(sf.random_curvature(2).comp)
+    rng.shuffle(first)
+    rng.shuffle(last)
+    # every component is named twice; the later row wins
+    plain = first + last
+    # each orbit is named first through a member with a wrong value, then
+    # through its representative, whose orbit overwrites it
+    closed = []
+    for i, j, k, l, v in _rows(sf.random_curvature(3).comp):
+        if i < j and k < l and (i, j) <= (k, l):
+            closed += [[k, l, j, i, 9.0 + v], [j, i, k, l, -7.0], [i, j, k, l, v]]
+    for rows, closure in ((plain, False), (closed, True)):
+        doc = {"kind": "raw_curvature", "components": rows, "symmetry_closure": closure}
+        R, _ = sf.realize(sf.load_spec(json.dumps(doc)))
+        assert np.array_equal(R.comp, sf.make_curvature(_row_loop(rows, closure)).comp)
+
+
 def test_raw_curvature_without_closure_requires_full_orbit():
     # a lone R_1212 breaks the pair antisymmetries by all of its size, however small
     for value in (-1.0, -1e-12):

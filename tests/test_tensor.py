@@ -5,6 +5,7 @@ import pytest
 
 import stframe as sf
 from stframe.errors import FrameNotOrthogonal, SymmetryViolation
+from stframe.sources import example4_algebra
 
 from conftest import loop_lrho, loop_norm_r2, loop_rcheck, loop_ricci, loop_rotate
 
@@ -121,6 +122,19 @@ def test_rotate_matches_loop_oracle():
     assert np.abs(rotated.comp - oracle).max() < 1e-12
 
 
+def test_rotate_equals_kron_product_bit_for_bit():
+    # each entry of rotate's (16, 16) factor is the one product m_ia m_jb
+    # that np.kron(m, m) forms, so the rotated components keep every bit
+    rng = np.random.default_rng(31)
+    for seed in (31, 37, 41):
+        R = sf.random_curvature(seed)
+        for _ in range(4):
+            F = sf.random_frame(rng)
+            k = np.kron(F.matrix, F.matrix)
+            expected = (k @ R.comp.reshape(16, 16) @ k.T).reshape(4, 4, 4, 4)
+            assert np.array_equal(sf.rotate(R, F).comp, expected)
+
+
 def test_rotate_identity_is_identity():
     R = sf.random_curvature(19)
     assert np.abs(sf.rotate(R, sf.identity_frame()).comp - R.comp).max() == 0.0
@@ -198,3 +212,25 @@ def test_scale_is_max_abs_component():
     big = sf.surface_product(5.0, 1.0)
     assert big.scale == 5.0
     assert sf.make_curvature(np.zeros((4, 4, 4, 4))).scale == 1.0
+
+
+def test_array_holding_classes_compare_by_identity():
+    # a field-wise == would ask a numpy array for its truth value and raise
+    R, _ = sf.gallery("example4", a=1.0, b=0.5)
+    st = sf.find_st_basis(R)
+    makers = {
+        sf.Curvature4: lambda: sf.make_curvature(R.comp),
+        sf.Frame4: lambda: sf.Frame4(st.frame.matrix),  # both share one array
+        sf.ResidualReport: lambda: sf.weakly_einstein_residual(R),
+        sf.RicciSpectrum: lambda: sf.ricci_spectrum(R),
+        sf.SignCaseSet: lambda: sf.find_st_basis(R).sign_cases,
+        sf.STReport: lambda: sf.find_st_basis(R),
+        sf.STVectors: lambda: sf.st_vectors(R, st.frame),
+        sf.LieAlgebra4: lambda: example4_algebra(1.0, 0.5),
+        sf.Connection4: lambda: sf.lie_group_curvature(example4_algebra(1.0, 0.5))[0],
+    }
+    for cls, make in makers.items():
+        a, b = make(), make()
+        assert type(a) is cls
+        assert (a == b) is False and (a != b) is True
+        assert (a == a) is True

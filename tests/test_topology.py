@@ -60,6 +60,18 @@ def test_st_vectors_requires_positive_orientation():
         sf.st_vectors(R, flipped)
 
 
+def test_st_vectors_equal_their_scalar_reads(pattern_ii_tensor):
+    tensors = [sf.gallery(name, **params)[0] for name, params in WEAKLY_EINSTEIN_GALLERY]
+    pattern_v = st_construction((0.4, 0.7, 1.0), (1, -1, -1), (0.3, -0.8, 0.5))
+    tensors += [pattern_ii_tensor, sf.rotate(pattern_v, sf.random_frame(np.random.default_rng(5)))]
+    for R in tensors:
+        c = sf.find_st_basis(R).components
+        v = vectors_from_components(c, R.scale)
+        assert np.array_equal(v.a_prime, [c[0, 1, 0, 1], c[0, 2, 0, 2], c[0, 3, 0, 3]])
+        assert np.array_equal(v.a_dprime, [c[2, 3, 2, 3], c[1, 3, 1, 3], c[1, 2, 1, 2]])
+        assert np.array_equal(v.b, [c[0, 1, 2, 3], c[0, 2, 3, 1], c[0, 3, 1, 2]])
+
+
 def test_b_vector_flips_with_plane_swap():
     # a frame permuting the two surface factors still diagonalizes but reorders b
     R, _ = sf.gallery("example4", a=1.0, b=0.5)
