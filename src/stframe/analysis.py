@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _EYE, Curvature4, _lrho, _rcheck, ricci
+from .tensor import _EYE, Curvature4, _lrho, _max_reduce, _rcheck, ricci
 
 DEFAULT_TOL = 1e-9
 
@@ -26,24 +26,24 @@ def _report(matrix: np.ndarray, norm: float, tol: float) -> ResidualReport:
     """norm is the power of |R| that matches the residual's degree in R, so
     relative, and with it the verdict, does not depend on the scale of R;
     the residuals of the zero tensor are zero."""
-    max_abs = float(np.abs(matrix).max())
+    max_abs = float(_max_reduce(np.abs(matrix), axis=None))
     relative = max_abs / norm if max_abs else 0.0
-    return ResidualReport(
-        matrix=matrix,
-        max_abs=max_abs,
-        relative=relative,
-        passes=relative < tol,
-        tol=tol,
-    )
+    return ResidualReport(matrix, max_abs, relative, relative < tol, tol)
+
+
+def _trace(rho: np.ndarray) -> float:
+    """rho.trace() bit for bit on floats: numpy adds the diagonal in order onto +0.0."""
+    d0, d1, d2, d3 = rho.diagonal().tolist()
+    return 0.0 + d0 + d1 + d2 + d3
 
 
 def _reduced_matrix(R: Curvature4) -> np.ndarray:
-    """2 rho.rho + Lrho - tau rho - |rho|^2 g + (tau^2/4) g, with rho computed once."""
+    """2 rho.rho + Lrho - tau rho - |rho|^2 g + (tau^2/4) g, with rho and 2 rho computed once."""
     rho = ricci(R)
-    tau = float(rho.trace())
+    two_rho, tau = 2.0 * rho, _trace(rho)
     return (
-        2.0 * (rho @ rho)
-        + _lrho(R, rho)
+        np.dot(two_rho, rho)
+        + _lrho(R, two_rho)
         - tau * rho
         - (float(np.vdot(rho, rho)) - 0.25 * tau ** 2) * _EYE
     )
@@ -69,7 +69,7 @@ def weakly_einstein_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> Residua
 def einstein_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Residual of rho = (tau/4) g; passing means Einstein."""
     rho = ricci(R)
-    matrix = rho - 0.25 * float(rho.trace()) * _EYE
+    matrix = rho - 0.25 * _trace(rho) * _EYE
     return _report(matrix, math.sqrt(np.vdot(R.comp, R.comp)), tol)
 
 
@@ -95,9 +95,9 @@ def forbidden_pattern(eigenvalues, tol: float) -> int | None:
     lam = lam.tolist()
     thresh = tol * max(map(abs, lam))
     for zero_pos, zero in enumerate(lam):
-        rest = lam[:zero_pos] + lam[zero_pos + 1:]
-        if abs(zero) <= thresh < min(map(abs, rest)):
+        if abs(zero) <= thresh:
+            rest = lam[:zero_pos] + lam[zero_pos + 1:]
             mean = sum(rest) / 3.0
-            if max(abs(x - mean) for x in rest) <= thresh:
+            if thresh < min(map(abs, rest)) and max(abs(x - mean) for x in rest) <= thresh:
                 return 4 - zero_pos
     return None

@@ -40,7 +40,7 @@ from .errors import (
     NotWeaklyEinstein,
     SearchFailed,
 )
-from .tensor import Curvature4, Frame4, random_frame, ricci, rotate
+from .tensor import Curvature4, Frame4, _max_reduce, random_frame, ricci, rotate
 
 DEFAULT_TOL_MULT = 1e-6
 
@@ -89,10 +89,10 @@ def _checked_eigh(M) -> tuple[np.ndarray, np.ndarray]:
     columns.  max |M_ij| is the finiteness test (NaN and inf make it
     non-finite) and the symmetry test's scale; NoConvergence on a failure."""
     M = np.asarray(M, dtype=float)
-    scale = np.abs(M).max() if M.shape == (4, 4) else math.nan
+    scale = _max_reduce(np.abs(M), axis=None) if M.shape == (4, 4) else math.nan
     if not scale < math.inf:
         raise NoConvergence("input must be a finite 4x4 matrix")
-    if np.abs(M - M.T).max() > 1e-12 * scale:
+    if _max_reduce(np.abs(M - M.T), axis=None) > 1e-12 * scale:
         raise NoConvergence("input matrix is not symmetric")
     try:
         eig, vecs = np.linalg.eigh(M)

@@ -29,6 +29,7 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 
 _EYE = _frozen(np.eye(DIM))
+_max_reduce = np.maximum.reduce  # ndarray.max() without its Python wrapper, NaN included
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,7 +49,7 @@ class Curvature4:
     @property
     def scale(self) -> float:
         """Tolerance scale s = max |R_ijkl|, and 1 for the zero tensor."""
-        return float(np.abs(self.comp).max()) or 1.0
+        return float(_max_reduce(np.abs(self.comp), axis=None)) or 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,20 +166,20 @@ _RICCI = _frozen(0.5 * (
 
 
 def ricci(R: Curvature4) -> np.ndarray:
-    """Ricci tensor, contraction rho_ij = sum_a R_aija (symmetric 4x4 matrix)."""
-    return (_RICCI @ R.comp.reshape(256)).reshape(DIM, DIM)
+    """Ricci tensor rho_ij = sum_a R_aija (symmetric 4x4); np.dot is @'s BLAS call, cheaper."""
+    return np.dot(_RICCI, R.comp.reshape(256)).reshape(DIM, DIM)
 
 
 def _rcheck(R: Curvature4) -> np.ndarray:
-    """Rcheck_ij = sum_abc R_abci R_abcj = (M^T M)_ij with M = comp.reshape(64, 4)."""
+    """Rcheck_ij = sum_abc R_abci R_abcj = (M^T M)_ij, M = comp.reshape(64, 4); see ricci."""
     m = R.comp.reshape(-1, DIM)
-    return m.T @ m
+    return np.dot(m.T, m)
 
 
-def _lrho(R: Curvature4, rho: np.ndarray) -> np.ndarray:
-    """(Lrho)_ij = 2 sum_ab R_iabj rho_ab: one batched (16,) @ (4, 16, 4)
-    product on the components as they lie, symmetrized."""
-    lrho = (2.0 * rho).reshape(16) @ R.comp.reshape(DIM, 16, DIM)
+def _lrho(R: Curvature4, two_rho: np.ndarray) -> np.ndarray:
+    """(Lrho)_ij = 2 sum_ab R_iabj rho_ab, given two_rho = 2 rho: one batched
+    (16,) @ (4, 16, 4) product on the components as they lie, symmetrized."""
+    lrho = two_rho.reshape(16) @ R.comp.reshape(DIM, 16, DIM)
     return 0.5 * (lrho + lrho.T)
 
 
@@ -198,7 +199,7 @@ def derived_tensors(R: Curvature4) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     (Lrho)_ij = 2 sum_ab R_iabj rho_ab, with rho computed once.
     """
     rho = ricci(R)
-    return _rcheck(R), rho @ rho, _lrho(R, rho)
+    return _rcheck(R), rho @ rho, _lrho(R, 2.0 * rho)
 
 
 def rotate(R: Curvature4, F: Frame4) -> Curvature4:

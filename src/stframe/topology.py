@@ -87,9 +87,10 @@ def f_by_case(eigenvalues, case: str) -> float:
     """The deficit f = -|rho_0|^2 / 4 from the Ricci eigenvalues of a sign
     case, rho_0 the traceless Ricci tensor.
 
-    The eigenvalues must be ordered as in the classifying frame; the case's
-    eigenvalue relation is checked to SIGN_TOLERANCE (CaseRelationViolated
-    otherwise).
+    The eigenvalues must be ordered as in the classifying frame.  The case's
+    relation is checked to SIGN_TOLERANCE * max(1, max|lambda|), which ignores
+    the tensor's scale: Ricci-flat noise eigenvalues fail it (CaseRelationViolated)
+    above max|R| ~ 1e7.  A caller who holds R should read find_st_basis(R).sign_cases.f.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (4,):
@@ -98,9 +99,7 @@ def f_by_case(eigenvalues, case: str) -> float:
         raise ValueError(f"unknown sign case {case!r}")
     scale = max(1.0, float(np.abs(lam).max()))
     if SIGN_CASES[case].relation(*lam) > SIGN_TOLERANCE * scale:
-        raise CaseRelationViolated(
-            f"eigenvalues violate the relation of case ({case})"
-        )
+        raise CaseRelationViolated(f"eigenvalues violate the relation of case ({case})")
     return _deficit(lam)
 
 

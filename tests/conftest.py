@@ -139,23 +139,28 @@ def exact_lie_group_residuals(c) -> tuple[np.ndarray, np.ndarray]:
 
 # --- frozen tensor fixtures ---------------------------------------------------
 
+def symmetry_orbit(i, j, k, l) -> tuple:
+    """((index tuple, sign), ...): the components that the pair
+    antisymmetries and the pair exchange tie to R_ijkl, with their signs."""
+    return (
+        ((i, j, k, l), 1),
+        ((j, i, k, l), -1),
+        ((i, j, l, k), -1),
+        ((j, i, l, k), 1),
+        ((k, l, i, j), 1),
+        ((l, k, i, j), -1),
+        ((k, l, j, i), -1),
+        ((l, k, j, i), 1),
+    )
+
+
 def curvature_from_components(entries: dict) -> sf.Curvature4:
     """Build a Curvature4 from 1-based independent components {(i,j,k,l): v},
     filling the full symmetry orbit of each entry."""
     comp = np.zeros((4, 4, 4, 4))
     for (i, j, k, l), v in entries.items():
-        i, j, k, l = i - 1, j - 1, k - 1, l - 1
-        for (a, b, c, d), s in (
-            ((i, j, k, l), 1.0),
-            ((j, i, k, l), -1.0),
-            ((i, j, l, k), -1.0),
-            ((j, i, l, k), 1.0),
-            ((k, l, i, j), 1.0),
-            ((l, k, i, j), -1.0),
-            ((k, l, j, i), -1.0),
-            ((l, k, j, i), 1.0),
-        ):
-            comp[a, b, c, d] = s * v
+        for idx, s in symmetry_orbit(i - 1, j - 1, k - 1, l - 1):
+            comp[idx] = s * v
     return sf.make_curvature(comp)
 
 
@@ -174,6 +179,37 @@ def st_construction(a_prime, eps, b) -> sf.Curvature4:
         entries[(i, j, i, j)] = a
         entries[(k, l, k, l)] = e * a
     return curvature_from_components(entries)
+
+
+#: per count of -1 entries in eps: the patterns its shapes take, each with
+#: the number of -1 positions whose |a'_k| are set equal (none, two or three),
+#: whether a'_1 + a'_2 + a'_3 = 0 (Ricci-flat, for eps = (1, 1, 1)) and the
+#: number of shapes drawn
+GENERATED_SHAPES = {
+    0: (("I", 0, False, 150), ("I", 0, True, 50)),
+    1: (("III", 0, False, 50),),
+    2: (("V", 0, False, 50), ("II", 2, False, 50)),
+    3: (("V", 0, False, 50), ("II", 2, False, 50), ("IV", 3, False, 50)),
+}
+
+
+def draw_st_shape(rng, eps, equal, flat):
+    """(a', b) at unit size with |a'_k| equal on the first `equal` positions
+    where eps is -1, and a'_3 = -a'_1 - a'_2 when flat; redrawn until every
+    gap between the ST frame's Ricci eigenvalues is either an intended
+    equality or at least 0.1."""
+    same = [k for k in range(3) if eps[k] < 0][:equal]
+    while True:
+        a = rng.uniform(0.3, 1.0, 3) * rng.choice([-1.0, 1.0], 3)
+        for k in same[1:]:
+            a[k] = abs(a[same[0]]) * rng.choice([-1.0, 1.0])
+        if flat:
+            a[2] = -a[0] - a[1]
+        b = rng.uniform(-1.0, 1.0, 3)
+        b[2] = -b[0] - b[1]
+        gaps = np.diff(np.sort(np.diag(loop_ricci(st_construction(a, eps, b).comp))))
+        if np.all((gaps < 1e-12) | (gaps >= 0.1)):
+            return a, b
 
 
 #: weakly-Einstein tensor whose Ricci spectrum has one repeated pair and two

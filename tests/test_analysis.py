@@ -136,6 +136,24 @@ def test_residuals_keep_no_state():
     assert list(vars(R)) == ["comp"]
 
 
+def test_a_nan_component_passes_no_check():
+    # a Curvature4 built directly skips make_curvature's finiteness check:
+    # NaN reaches every residual's max_abs and fails the verdict, and the
+    # eigensolver refuses it
+    comp = sf.random_curvature(5).comp.copy()
+    comp[0, 1, 0, 1] = np.nan
+    R = sf.Curvature4(comp)
+    for residual in (sf.identity_residual, sf.einstein_residual, sf.weakly_einstein_residual):
+        rep = residual(R)
+        assert rep.passes is False
+        assert np.isnan(rep.max_abs)
+    with pytest.raises(sf.NoConvergence, match="finite"):
+        sf.ricci_spectrum(R)
+    # Python's max keeps a leading NaN and skips a trailing one: neither matches
+    assert sf.forbidden_pattern([np.nan, 1.0, 1.0, 1.0], 1e-6) is None
+    assert sf.forbidden_pattern([2.0, 2.0, 2.0, np.nan], 1e-6) is None
+
+
 def test_reduced_identity_passes_iff_weakly_einstein():
     weakly = [sf.surface_product(1.0, -1.0), sf.gallery("example4", a=1.0)[0]]
     not_weakly = [sf.surface_product(1.0, 2.0), sf.space_form_product(1.0)]

@@ -27,11 +27,17 @@ from stframe.frames import (
 )
 
 from conftest import (
+    GENERATED_SHAPES,
+    ST_A_DPRIME_PLANES,
+    ST_A_PRIME_PLANES,
+    ST_B_INDICES,
     WEAKLY_EINSTEIN_GALLERY,
+    draw_st_shape,
     frame_free_invariants,
     loop_ricci,
     loop_rotate,
     st_construction,
+    symmetry_orbit,
 )
 
 
@@ -358,6 +364,35 @@ def test_case_relation_violation_raises():
         sf.f_by_case([1.0, 2.0, 3.0, 4.0], "ix")
 
 
+def test_sign_case_table_derived_symbolically():
+    # the ST-frame tensor of symbolic a', a'' = eps a' and b, for each case's
+    # signs eps: its Ricci tensor is diagonal and free of b, the case's
+    # relation between the diagonal entries vanishes identically, and the
+    # deficit |a|^2 - |a'|^2 is -|rho_0|^2 / 4
+    sympy = pytest.importorskip("sympy")
+    a_prime = sympy.symbols("a1:4", real=True)
+    b = sympy.symbols("b1:4", real=True)
+    for case, (signs, relation) in SIGN_CASES.items():
+        a_dprime = [e * a for e, a in zip(signs, a_prime)]
+        entries = dict(zip(ST_B_INDICES, b))
+        for (i, j), (k, l), a1, a2 in zip(ST_A_PRIME_PLANES, ST_A_DPRIME_PLANES, a_prime, a_dprime):
+            entries[(i, j, i, j)], entries[(k, l, k, l)] = a1, a2
+        comp = {}
+        for (i, j, k, l), v in entries.items():
+            for idx, sign in symmetry_orbit(i - 1, j - 1, k - 1, l - 1):
+                comp[idx] = sign * v
+        rho = sympy.Matrix(4, 4, lambda i, j: sum(comp.get((m, i, j, m), 0) for m in range(4)))
+        assert rho.is_diagonal(), case
+        assert not rho.free_symbols & set(b), case
+        lam = rho.diagonal()
+        assert relation(*lam) == 0, case
+        tau = sum(lam)
+        rho0_sq = sum((x - tau / 4) ** 2 for x in lam)
+        a = [(a1 + a2) / 2 for a1, a2 in zip(a_prime, a_dprime)]
+        f = sum(x ** 2 for x in a) - sum(x ** 2 for x in a_prime)
+        assert sympy.expand(f + rho0_sq / 4) == 0, case
+
+
 def test_f_by_case_checks_relation():
     with pytest.raises(CaseRelationViolated):
         sf.f_by_case([1.0, 2.0, 3.0, 4.0], "i")
@@ -455,37 +490,6 @@ def test_find_st_basis_einstein_tensor_in_generic_frame():
     assert "i" in rep.sign_cases.cases
 
 
-#: per count of -1 entries in eps: the patterns its shapes take, each with
-#: the number of -1 positions whose |a'_k| are set equal (none, two or three),
-#: whether a'_1 + a'_2 + a'_3 = 0 (Ricci-flat, for eps = (1, 1, 1)) and the
-#: number of shapes drawn
-_GENERATED_SHAPES = {
-    0: (("I", 0, False, 150), ("I", 0, True, 50)),
-    1: (("III", 0, False, 50),),
-    2: (("V", 0, False, 50), ("II", 2, False, 50)),
-    3: (("V", 0, False, 50), ("II", 2, False, 50), ("IV", 3, False, 50)),
-}
-
-
-def _draw_shape(rng, eps, equal, flat):
-    """(a', b) at unit size with |a'_k| equal on the first `equal` positions
-    where eps is -1, and a'_3 = -a'_1 - a'_2 when flat; redrawn until every
-    gap between the ST frame's Ricci eigenvalues is either an intended
-    equality or at least 0.1."""
-    same = [k for k in range(3) if eps[k] < 0][:equal]
-    while True:
-        a = rng.uniform(0.3, 1.0, 3) * rng.choice([-1.0, 1.0], 3)
-        for k in same[1:]:
-            a[k] = abs(a[same[0]]) * rng.choice([-1.0, 1.0])
-        if flat:
-            a[2] = -a[0] - a[1]
-        b = rng.uniform(-1.0, 1.0, 3)
-        b[2] = -b[0] - b[1]
-        gaps = np.diff(np.sort(np.diag(loop_ricci(st_construction(a, eps, b).comp))))
-        if np.all((gaps < 1e-12) | (gaps >= 0.1)):
-            return a, b
-
-
 @pytest.mark.parametrize(
     "eps",
     list(itertools.product((1, -1), repeat=3)),
@@ -495,9 +499,9 @@ def test_find_st_basis_on_generated_tensors(eps):
     # a' and a'' = eps a' and b placed in a frame, scaled by 10^U(-12, 12) and
     # randomly rotated; eps = (1, 1, 1) gives generic Einstein tensors
     rng = np.random.default_rng(sum(2 ** k for k, e in enumerate(eps) if e < 0))
-    for pattern, equal, flat, count in _GENERATED_SHAPES[list(eps).count(-1)]:
+    for pattern, equal, flat, count in GENERATED_SHAPES[list(eps).count(-1)]:
         for _ in range(count):
-            a, b = _draw_shape(rng, eps, equal, flat)
+            a, b = draw_st_shape(rng, eps, equal, flat)
             s = 10 ** rng.uniform(-12, 12)
             R = sf.rotate(st_construction(s * a, eps, s * b), sf.random_frame(rng))
             rep = sf.find_st_basis(R)

@@ -16,7 +16,12 @@ from stframe.errors import (
 )
 from stframe.topology import invariants_from_vectors, vectors_from_components
 
-from conftest import WEAKLY_EINSTEIN_GALLERY, frame_free_invariants, st_construction
+from conftest import (
+    WEAKLY_EINSTEIN_GALLERY,
+    draw_st_shape,
+    frame_free_invariants,
+    st_construction,
+)
 
 
 def test_st_vectors_on_opposite_surfaces():
@@ -131,6 +136,25 @@ def test_f_by_case_on_rotated_ricci_flat_tensor_at_unit_scale():
         for case in rep.sign_cases.cases:
             f = sf.f_by_case(rep.sign_cases.eigenvalues, case)
             assert f == pytest.approx(0.0, abs=1e-12)
+
+
+def test_sign_cases_f_on_rotated_ricci_flat_tensors_at_every_scale():
+    # f_by_case sees only the eigenvalues and rejects a Ricci-flat tensor's
+    # rounding-noise spectrum above a scale of about 1e7; the f that
+    # find_st_basis carries is judged against the tensor's scale, and stays
+    # at the frame-free f from 1e-9 to 1e12 (rounding noise: the worst of
+    # 2,200 tensors in two sweeps was 9e-30 s^2)
+    rng = np.random.default_rng(19)
+    for exponent in range(-9, 13):
+        s = 10.0 ** exponent
+        for _ in range(10):
+            a, b = draw_st_shape(rng, (1, 1, 1), 0, True)
+            R = sf.rotate(st_construction(s * a, (1, 1, 1), s * b), sf.random_frame(rng))
+            rep = sf.find_st_basis(R)
+            f, _, _ = frame_free_invariants(R.comp)
+            assert rep.sign_cases.cases
+            for case in rep.sign_cases.cases:
+                assert rep.sign_cases.f[case] == pytest.approx(f, abs=1e-28 * R.scale ** 2)
 
 
 def test_f_by_case_matches_f_value_on_gallery():

@@ -3,11 +3,19 @@
     python3 tools/same_answers.py OLD_CHECKOUT NEW_CHECKOUT
 
 Loads ``src/stframe`` of each checkout under its own module name and runs,
-in-process, ``invariants --json -`` and ``frame --json -`` on the 28 `report`
-inputs of seeds 1-20 (documents built from NEW_CHECKOUT's
-``benchmarks/inputs.py``), ``gallery --all --json -`` and the commands of
-acceptance criterion 12.  Stdout, stderr and the exit code must agree.
-Prints how many outputs differ; exits 1 if any do.
+in-process:
+
+- ``invariants``, ``frame``, ``check`` and ``identity`` with ``--json -`` on
+  the 28 `report` inputs of seeds 1-20;
+- ``check`` and ``identity`` with ``--json -`` on the 200 `screen` inputs of
+  seeds 1-3, which add tensors that are not weakly Einstein, forbidden-pattern
+  space-form products and the tiny-scale slice, and on one document per seed
+  scaled below the supported range (exit code 2);
+- ``gallery --all --json -`` and the commands of acceptance criterion 12.
+
+Input documents are built from NEW_CHECKOUT's ``benchmarks/inputs.py``.
+Stdout, stderr and the exit code must agree.  Prints how many outputs differ;
+exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -24,6 +32,10 @@ from pathlib import Path
 import numpy as np
 
 SEEDS = range(1, 21)
+SCREEN_SEEDS = range(1, 4)
+#: scales a document below the CLI's supported range, so that the usage
+#: error (exit code 2) and its message are compared too
+OUT_OF_RANGE = 1e-150
 FIXED = [
     ["gallery", "--all", "--json", "-"],
     ["identity", "--gallery", "example-s2-1", "--json", "-"],
@@ -54,8 +66,16 @@ def answer(cli, argv: list) -> tuple:
     return out.getvalue(), err.getvalue(), code
 
 
+def document(comp: np.ndarray, path: Path) -> list:
+    """Write comp to path as a raw_curvature document; the argv that reads it."""
+    rows = [[*(i + 1 for i in idx), float(comp[idx])]
+            for idx in np.ndindex(comp.shape) if comp[idx] != 0.0]
+    path.write_text(json.dumps({"kind": "raw_curvature", "components": rows}))
+    return ["--input", str(path)]
+
+
 def argvs(checkout: Path, workdir: Path):
-    """Every command line to compare; the report documents go into workdir."""
+    """Every command line to compare; the input documents go into workdir."""
     sys.path.insert(0, str(checkout / "benchmarks"))
     import inputs
 
@@ -63,12 +83,16 @@ def argvs(checkout: Path, workdir: Path):
     for seed in SEEDS:
         for n, (case, source) in enumerate(inputs.report_cases(seed)):
             if source is None:
-                rows = [[*(i + 1 for i in idx), float(case.comp[idx])]
-                        for idx in np.ndindex(case.comp.shape) if case.comp[idx] != 0.0]
-                path = workdir / f"seed{seed}-doc{n:02d}.json"
-                path.write_text(json.dumps({"kind": "raw_curvature", "components": rows}))
-                source = ["--input", str(path)]
-            for command in ("invariants", "frame"):
+                source = document(case.comp, workdir / f"seed{seed}-doc{n:02d}.json")
+            for command in ("invariants", "frame", "check", "identity"):
+                yield [command, *source, "--json", "-"]
+    for seed in SCREEN_SEEDS:
+        cases = inputs.screen_cases(seed)
+        sources = [document(case.comp, workdir / f"screen{seed}-{n:03d}.json")
+                   for n, case in enumerate(cases)]
+        sources.append(document(OUT_OF_RANGE * cases[0].comp, workdir / f"screen{seed}-out.json"))
+        for source in sources:
+            for command in ("check", "identity"):
                 yield [command, *source, "--json", "-"]
 
 
