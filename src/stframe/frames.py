@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .analysis import DEFAULT_TOL, weakly_einstein_residual
 from .errors import (
@@ -84,6 +85,22 @@ _PENALTY_FLAT = np.concatenate((_MIXED_FLAT, _PLANES_FLAT))
 
 # --- eigensolver -------------------------------------------------------------
 
+# The LAPACK gufuncs that np.linalg.eigh and np.linalg.det call, without their
+# Python wrappers: the same bits (tests/test_frames.py pins them), a few
+# microseconds cheaper a call.  Where LAPACK fails, eigh_lo fills its outputs
+# with NaN (and numpy warns of an invalid value) instead of raising
+# LinAlgError; _checked_eigh turns the NaN into NoConvergence.
+
+def _eigh(M) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(M): ascending eigenvalues and eigenvector columns."""
+    return _umath_linalg.eigh_lo(M, signature="d->dd")
+
+
+def _det(M):
+    """np.linalg.det(M), of one matrix or of a stack."""
+    return _umath_linalg.det(M, signature="d->d")
+
+
 def _checked_eigh(M) -> tuple[np.ndarray, np.ndarray]:
     """eigh of a 4x4 matrix: eigenvalues descending and eigh's eigenvector
     columns.  max |M_ij| is the finiteness test (NaN and inf make it
@@ -94,17 +111,16 @@ def _checked_eigh(M) -> tuple[np.ndarray, np.ndarray]:
         raise NoConvergence("input must be a finite 4x4 matrix")
     if _max_reduce(np.abs(M - M.T), axis=None) > 1e-12 * scale:
         raise NoConvergence("input matrix is not symmetric")
-    try:
-        eig, vecs = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as e:
-        raise NoConvergence(str(e)) from e
+    eig, vecs = _eigh(M)
+    if math.isnan(eig[0]):
+        raise NoConvergence("Eigenvalues did not converge")  # numpy's message
     return eig[::-1].copy(), vecs
 
 
 def _eigenframe(vecs: np.ndarray) -> Frame4:
     """eigh's eigenvector columns vecs as frame rows, descending, at det +1."""
     rows = vecs.T[::-1].copy()
-    if np.linalg.det(rows) < 0:
+    if _det(rows) < 0:
         rows[3] = -rows[3]
     return Frame4(rows)
 
@@ -445,26 +461,26 @@ def _closed_form_frame(R: Curvature4, spectrum: RicciSpectrum) -> Frame4:
         wp, wm = up[:, cluster], um[:, cluster]
         ap, cm = wp.T @ A @ wp, wm.T @ C @ wm
         if zero:
-            qp, qm = np.linalg.eigh(ap)[1], np.linalg.eigh(cm)[1]
+            qp, qm = _eigh(ap)[1], _eigh(cm)[1]
             # pair the two eigenbases so that what B has left sits on the diagonal
             b = np.abs(qp.T @ wp.T @ B @ wm @ qm)
             pairing = max(itertools.permutations(range(len(cluster))),
                           key=lambda p: b[range(len(p)), p].sum())
             up[:, cluster], um[:, cluster] = wp @ qp, wm @ qm[:, pairing]
         else:
-            q = np.linalg.eigh(ap - cm)[1]
+            q = _eigh(ap - cm)[1]
             up[:, cluster], um[:, cluster] = wp @ q, wm @ q
-    for u, det in zip((up, um), np.linalg.det(np.stack((up, um)))):
+    for u, det in zip((up, um), _det(np.stack((up, um)))):
         if det < 0:
             u[:, 2] = -u[:, 2]
     omega = ((up.T @ _LAMBDA_PM[:3] + um.T @ _LAMBDA_PM[3:]) / math.sqrt(2)).reshape(3, 4, 4)
-    e0 = np.linalg.eigh(np.einsum("iab,icb->ac", omega, omega))[1][:, -1]
+    e0 = _eigh(np.einsum("iab,icb->ac", omega, omega))[1][:, -1]
     rows = np.concatenate((e0[None], -omega @ e0))
     # the order of pattern II's two equal-eigenvalue rows follows the last
     # bits of diag, so these einsums are not rewritten as matmuls
     diag = np.einsum("ia,ab,ib->i", rows, spectrum._rho, rows)
     rows = rows[np.argsort(-diag, kind="stable")[list(spectrum.pattern.canonical_order)]]
-    if np.linalg.det(rows) < 0:
+    if _det(rows) < 0:
         # swapping e3 and e4 permutes the penalty's terms: an ST frame stays one
         rows = rows[[0, 1, 3, 2]]
     return Frame4(rows)

@@ -24,6 +24,11 @@ from .tensor import (
 )
 
 
+#: largest accepted max |c_ijk|: below it the sums of products of structure
+#: constants that the Jacobi test and the curvature take stay finite
+MAX_STRUCTURE_CONSTANT = 1e150
+
+
 @dataclass(frozen=True, eq=False)
 class LieAlgebra4:
     """Structure constants of a 4D metric Lie algebra: [e_i, e_j] = sum_k c_ijk e_k
@@ -36,6 +41,11 @@ class LieAlgebra4:
         if c.shape != (DIM,) * 3 or not np.all(np.isfinite(c)):
             raise JacobiViolation("structure constants must be a finite 4x4x4 array")
         scale = float(np.abs(c).max())
+        if scale > MAX_STRUCTURE_CONSTANT:
+            raise JacobiViolation(
+                f"structure constants too large: max |c_ijk| = {scale:.3e} exceeds "
+                f"{MAX_STRUCTURE_CONSTANT:g}, so their products overflow"
+            )
         anti = np.abs(c + c.transpose(1, 0, 2)).max()
         if anti > 1e-10 * scale:
             raise JacobiViolation(f"c_ijk != -c_jik: worst residual {anti:.3e}")
@@ -45,7 +55,7 @@ class LieAlgebra4:
             + np.einsum("kim,mjl->ijkl", c, c)
         )
         worst = np.abs(jac).max()
-        if worst > 1e-10 * scale * scale:
+        if not worst <= 1e-10 * scale * scale:  # NaN fails too
             raise JacobiViolation(f"Jacobi identity fails: worst residual {worst:.3e}")
         c.setflags(write=False)
         object.__setattr__(self, "c", c)

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -285,6 +286,22 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     doc.write_text('{"kind": "surface_product", "c1": 1e-150, "c2": -1e-150}')
     code, _, err = run(capsys, "check", "--input", str(doc))
     assert code == 2 and str(doc) in err and "lies outside" in err
+
+
+def test_overflowing_structure_constants_are_one_usage_error(capsys, tmp_path):
+    doc = write_doc(tmp_path, "huge.json", {
+        "kind": "lie_group", "c": [[1, 2, 2, 1e200], [1, 3, 3, -1e200]],
+    })
+    for argv, size in (
+        (("identity", "--gallery", "example4", "--a", "1", "--b", "1e300"), "1.000e+300"),
+        (("check", "--input", doc), "1.000e+200"),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"structure constants too large: max |c_ijk| = {size}" in err
 
 
 def test_consecutive_calls_share_no_state(capsys):

@@ -88,6 +88,46 @@ def test_sym_eigen_symmetry_check_is_scale_free(s):
     assert np.abs(eig).max() == 0.0
 
 
+def _seam_inputs():
+    """Symmetric matrices of the sizes the frame search decomposes, with
+    degenerate spectra among them."""
+    rng = np.random.default_rng(17)
+    for n in (2, 3, 4):
+        for _ in range(20):
+            a = rng.normal(size=(n, n))
+            yield a + a.T
+    q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+    yield np.diag([2.0, 2.0, 2.0, 2.0])
+    yield np.zeros((4, 4))
+    yield np.diag([3.0, 1.0, 1.0, 0.5])
+    yield q @ np.diag([3.0, 1.0, 1.0, 0.5]) @ q.T
+
+
+def test_lapack_seam_equals_numpy_bit_for_bit():
+    # the frame search calls numpy's LAPACK gufuncs directly; a numpy release
+    # that changes them fails here rather than moving answers silently
+    for m in _seam_inputs():
+        eig, vecs = sf.frames._eigh(m)
+        expected_eig, expected_vecs = np.linalg.eigh(m)
+        assert eig.tobytes() == expected_eig.tobytes()
+        assert vecs.tobytes() == expected_vecs.tobytes()
+        assert sf.frames._det(m).tobytes() == np.linalg.det(m).tobytes()
+    rng = np.random.default_rng(18)
+    for _ in range(20):
+        stack = np.linalg.qr(rng.normal(size=(2, 3, 3)))[0]  # as _closed_form_frame's
+        assert sf.frames._det(stack).tobytes() == np.linalg.det(stack).tobytes()
+
+
+def test_checked_eigh_raises_when_lapack_returns_nan(monkeypatch):
+    monkeypatch.setattr(
+        sf.frames, "_eigh", lambda m: (np.full(4, np.nan), np.full((4, 4), np.nan))
+    )
+    with pytest.raises(NoConvergence, match="converge"):
+        sf.sym_eigen(np.diag([4.0, 3.0, 2.0, 1.0]))
+    with pytest.raises(NoConvergence):
+        sf.ricci_spectrum(sf.gallery("example4", a=1.0, b=0.5)[0])
+
+
 # --- multiplicity patterns ----------------------------------------------------
 
 def test_multiplicity_pattern_tags():

@@ -51,6 +51,14 @@ def test_lie_algebra_checks_are_scale_free(s):
     sf.LieAlgebra4(np.zeros((4, 4, 4)))
 
 
+def test_lie_algebra_rejects_constants_whose_products_overflow():
+    c = example4_algebra(1.0, 0.5).c
+    top = sf.sources.MAX_STRUCTURE_CONSTANT / np.abs(c).max()
+    sf.LieAlgebra4(top * c)
+    with pytest.raises(JacobiViolation, match=r"too large: max \|c_ijk\| = 1\.000e\+151"):
+        sf.LieAlgebra4(10 * top * c)
+
+
 def test_solvable_group_connection_coefficients():
     conn, _ = sf.lie_group_curvature(example_s2_1_algebra())
     g = conn.gamma

@@ -7,6 +7,11 @@ in-process:
 
 - ``invariants``, ``frame``, ``check`` and ``identity`` with ``--json -`` on
   the 28 `report` inputs of seeds 1-20;
+- ``frame`` and ``invariants`` with ``--json -`` on 4 rotated weakly
+  Einstein documents of each Ricci pattern I, III and IV per seed 1-20, which
+  the `report` inputs (patterns II and V and axis-aligned gallery entries)
+  lack: they take the closed form's zero-cluster pairing and its pattern-IV
+  branch;
 - ``check`` and ``identity`` with ``--json -`` on the 200 `screen` inputs of
   seeds 1-3, which add tensors that are not weakly Einstein, forbidden-pattern
   space-form products and the tiny-scale slice, and on one document per seed
@@ -33,6 +38,10 @@ import numpy as np
 
 SEEDS = range(1, 21)
 SCREEN_SEEDS = range(1, 4)
+#: the patterns the `report` inputs lack, and how many rotated weakly
+#: Einstein documents of each a seed draws (from default_rng([seed, 4]))
+ROTATED_PATTERNS = ("I", "III", "IV")
+ROTATED_PER_PATTERN = 4
 #: scales a document below the CLI's supported range, so that the usage
 #: error (exit code 2) and its message are compared too
 OUT_OF_RANGE = 1e-150
@@ -86,6 +95,13 @@ def argvs(checkout: Path, workdir: Path):
                 source = document(case.comp, workdir / f"seed{seed}-doc{n:02d}.json")
             for command in ("invariants", "frame", "check", "identity"):
                 yield [command, *source, "--json", "-"]
+        rng = np.random.default_rng([seed, 4])
+        for pattern in ROTATED_PATTERNS:
+            for n in range(ROTATED_PER_PATTERN):
+                case = inputs.weakly_einstein_case(rng, pattern)
+                source = document(case.comp, workdir / f"seed{seed}-{pattern}{n}.json")
+                for command in ("frame", "invariants"):
+                    yield [command, *source, "--json", "-"]
     for seed in SCREEN_SEEDS:
         cases = inputs.screen_cases(seed)
         sources = [document(case.comp, workdir / f"screen{seed}-{n:03d}.json")
