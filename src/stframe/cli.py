@@ -62,11 +62,72 @@ GALLERY_SUITE = (
 # --- deterministic JSON rendering -------------------------------------------
 
 def render_json(obj) -> str:
-    """Strict JSON in two-space indent, one item per line.  Each float is
+    """Strict JSON in two-space indent, one item per line, byte for byte as
+    json.dumps(obj, indent=2, allow_nan=False) writes it.  Each float is
     written as its shortest round-trip repr, so a report parses back to the
-    same doubles and is byte-stable across runs; a NaN or infinity raises
-    ValueError instead of being written as a bare, non-JSON token."""
-    return json.dumps(obj, indent=2, allow_nan=False)
+    same doubles and is byte-stable across runs.  What _json does not write
+    (a NaN or infinity, a key that is not a str, an unsupported type, a
+    circular reference) goes to json.dumps, which raises its own error or
+    writes it."""
+    try:
+        return _json(obj, "\n")
+    except (_Unwritten, RecursionError):
+        return json.dumps(obj, indent=2, allow_nan=False)
+
+
+class _Unwritten(Exception):
+    """A value _json leaves to json.dumps."""
+
+
+_str_json = json.encoder.encode_basestring_ascii
+
+
+def _json(o, newline: str) -> str:
+    """o as json.dumps(o, indent=2, allow_nan=False) writes it, where newline
+    is the line break and indent of the line o starts on; _Unwritten where
+    it would not simply write o.  The type tests run in json.encoder's order,
+    so subclasses of str, int and float are written as json.dumps writes them.
+    json.dumps itself runs its pure-Python encoder here, since the C encoder
+    serves only indent=None."""
+    if isinstance(o, str):
+        return _str_json(o)
+    if o is None:
+        return "null"
+    if o is True:
+        return "true"
+    if o is False:
+        return "false"
+    if isinstance(o, int):
+        return int.__repr__(o)
+    if isinstance(o, float):
+        if -math.inf < o < math.inf:
+            return float.__repr__(o)
+        raise _Unwritten
+    inner = newline + "  "
+    if isinstance(o, (list, tuple)):
+        if not o:
+            return "[]"
+        if isinstance(o[0], float):
+            # a list of finite floats in one join: float.__repr__ raises
+            # TypeError on an item that is not a float, and "nan" and "inf"
+            # are the only reprs it writes with an n
+            try:
+                items = ("," + inner).join(map(float.__repr__, o))
+            except TypeError:
+                items = None
+            if items is not None and "n" not in items:
+                return "[" + inner + items + newline + "]"
+        return "[" + inner + ("," + inner).join([_json(v, inner) for v in o]) + newline + "]"
+    if isinstance(o, dict):
+        if not o:
+            return "{}"
+        items = []
+        for k, v in o.items():
+            if not isinstance(k, str):
+                raise _Unwritten
+            items.append(_str_json(k) + ": " + _json(v, inner))
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise _Unwritten
 
 
 def _floats(a) -> list[float]:
@@ -411,7 +472,9 @@ class _SubcommandParser(argparse.ArgumentParser):
         return namespace, extras
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(commands: dict | None = None) -> argparse.ArgumentParser:
+    """The stframe parser; with commands, each subcommand's parser is also
+    put there under its name."""
     parser = argparse.ArgumentParser(
         prog="stframe",
         description="Pointwise curvature analysis of 4D Riemannian metrics",
@@ -423,18 +486,28 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, keywords in _FLAGS.items():
             if flag in flags:
                 p.add_argument(f"--{flag}", **keywords)
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, command=command)
+        if commands is not None:
+            commands[command] = p
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser, built on first use and shared by every later call."""
-    return build_parser()
+def _parsers() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommands' parsers by name, built on first use
+    and shared by every later call."""
+    commands = {}
+    return build_parser(commands), commands
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    # an argv that starts with a subcommand goes straight to its parser, which
+    # the top-level parser would hand it to; the rest (no arguments, -h,
+    # --version, an unknown name) goes through the top-level parser
+    command = commands.get(argv[0]) if argv else None
+    args = parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
     try:
         for field in ("volume", "tol", "tol_mult"):
             value = getattr(args, field, None)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from numpy.linalg import _umath_linalg
 
 from .analysis import DEFAULT_TOL, weakly_einstein_residual
 from .errors import (
@@ -41,7 +40,9 @@ from .errors import (
     NotWeaklyEinstein,
     SearchFailed,
 )
-from .tensor import Curvature4, Frame4, _max_reduce, random_frame, ricci, rotate
+from .tensor import (
+    Curvature4, Frame4, _det, _eigh, _max_reduce, random_frame, ricci, rotate,
+)
 
 DEFAULT_TOL_MULT = 1e-6
 
@@ -84,22 +85,6 @@ _PENALTY_FLAT = np.concatenate((_MIXED_FLAT, _PLANES_FLAT))
 
 
 # --- eigensolver -------------------------------------------------------------
-
-# The LAPACK gufuncs that np.linalg.eigh and np.linalg.det call, without their
-# Python wrappers: the same bits (tests/test_frames.py pins them), a few
-# microseconds cheaper a call.  Where LAPACK fails, eigh_lo fills its outputs
-# with NaN (and numpy warns of an invalid value) instead of raising
-# LinAlgError; _checked_eigh turns the NaN into NoConvergence.
-
-def _eigh(M) -> tuple[np.ndarray, np.ndarray]:
-    """np.linalg.eigh(M): ascending eigenvalues and eigenvector columns."""
-    return _umath_linalg.eigh_lo(M, signature="d->dd")
-
-
-def _det(M):
-    """np.linalg.det(M), of one matrix or of a stack."""
-    return _umath_linalg.det(M, signature="d->d")
-
 
 def _checked_eigh(M) -> tuple[np.ndarray, np.ndarray]:
     """eigh of a 4x4 matrix: eigenvalues descending and eigh's eigenvector

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import FrameNotOrthogonal, SymmetryViolation
 
@@ -30,6 +31,22 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 _EYE = _frozen(np.eye(DIM))
 _max_reduce = np.maximum.reduce  # ndarray.max() without its Python wrapper, NaN included
+
+
+# The LAPACK gufuncs that np.linalg.eigh and np.linalg.det call, without their
+# Python wrappers: the same bits (tests/test_frames.py pins them), a few
+# microseconds cheaper a call.  Where LAPACK fails, eigh_lo fills its outputs
+# with NaN (and numpy warns of an invalid value) instead of raising
+# LinAlgError; frames._checked_eigh turns the NaN into NoConvergence.
+
+def _eigh(M) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh(M): ascending eigenvalues and eigenvector columns."""
+    return _umath_linalg.eigh_lo(M, signature="d->dd")
+
+
+def _det(M):
+    """np.linalg.det(M), of one matrix or of a stack."""
+    return _umath_linalg.det(M, signature="d->d")
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,7 +80,7 @@ class Frame4:
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
-        err = np.abs(m @ m.T - _EYE).max() if m.shape == (DIM, DIM) else np.nan
+        err = _max_reduce(np.abs(m @ m.T - _EYE), axis=None) if m.shape == (DIM, DIM) else np.nan
         if not err <= _FRAME_TOL * 10:
             if m.shape != (DIM, DIM) or not np.isfinite(m).all():
                 raise FrameNotOrthogonal("frame must be a finite 4x4 matrix")
@@ -72,7 +89,7 @@ class Frame4:
 
     @property
     def orientation(self) -> int:
-        return 1 if np.linalg.det(self.matrix) > 0 else -1
+        return 1 if _det(self.matrix) > 0 else -1
 
 
 def identity_frame() -> Frame4:
@@ -126,7 +143,7 @@ def make_curvature(raw: np.ndarray) -> Curvature4:
         raise SymmetryViolation("shape", raw.shape, float("nan"))
     # max |R_ijkl| is both the finiteness test (NaN and inf make it
     # non-finite) and the tolerance's scale
-    scale = float(np.abs(raw).max())
+    scale = float(_max_reduce(np.abs(raw), axis=None))
     if not scale < math.inf:
         raise SymmetryViolation("finiteness", (), float("nan"))
     tol = 1e-10 * scale
@@ -137,7 +154,7 @@ def make_curvature(raw: np.ndarray) -> Curvature4:
         ("first Bianchi identity", _bianchi_sum(raw)),
     ]
     for name, resid in checks:
-        worst = np.abs(resid).max()
+        worst = _max_reduce(np.abs(resid), axis=None)
         if worst > tol:
             idx = np.unravel_index(np.abs(resid).argmax(), resid.shape)
             raise SymmetryViolation(name, tuple(int(i) for i in idx), float(worst))

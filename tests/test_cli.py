@@ -1,14 +1,17 @@
 """Command-line interface: subcommands, exit codes, JSON reports."""
 
 import json
+import math
 import sys
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import stframe as sf
-from stframe.cli import main
+from stframe.cli import _SUBCOMMANDS, build_parser, main, render_json
 
 from conftest import st_construction
 
@@ -177,6 +180,46 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, command, flag):
     # the subcommand's own parser reports the flag, with its own usage line
     assert err.startswith(f"usage: stframe {command} ")
     assert f"stframe {command}: error: unrecognized arguments: {flag} 1" in err
+
+
+def outcome(capsys, call):
+    """call()'s result, or ("SystemExit", code), after its stdout and stderr."""
+    try:
+        result = call()
+    except SystemExit as e:
+        result = ("SystemExit", e.code)
+    captured = capsys.readouterr()
+    return captured.out, captured.err, result
+
+
+#: argv that argparse answers itself, and its SystemExit code: help, usage
+#: errors of each subcommand's parser, and argv with no subcommand
+ARGPARSE_EXITS = [
+    *(([command, *rest], code) for command in _SUBCOMMANDS for rest, code in (
+        (["-h"], 0), (["--no-such-flag"], 2), (["--tol", "x"], 2), (["--json"], 2),
+    )),
+    ([], 2), (["-h"], 0), (["--version"], 0), (["no-such-command", "-h"], 2),
+]
+
+
+@pytest.mark.parametrize("argv,code", ARGPARSE_EXITS)
+def test_main_exits_as_the_top_level_parser_does(capsys, argv, code):
+    # main hands an argv that starts with a subcommand straight to that
+    # subcommand's parser: help, usage and errors stay the top-level
+    # parser's own, to the byte
+    expected = outcome(capsys, lambda: build_parser().parse_args(argv))
+    assert expected[2] == ("SystemExit", code)
+    assert outcome(capsys, lambda: main(argv)) == expected
+
+
+@pytest.mark.parametrize("command", _SUBCOMMANDS)
+def test_subcommand_parsers_parse_as_the_top_level_parser_does(command):
+    commands = {}
+    parser = build_parser(commands)
+    for argv in ([command], [command, "--tol", "1e-9", "--json", "-"]):
+        args = parser.parse_args(argv)
+        assert args.command == command
+        assert commands[command].parse_args(argv[1:]) == args
 
 
 def test_reports_echo_the_settings_their_command_takes(capsys):
@@ -426,3 +469,52 @@ def test_machine_reports_are_typed_strict_json(capsys, tmp_path):
     ):
         assert all(type(x) is float for x in rep[key])
         assert rep[key] == values
+
+
+#: JSON-like trees: str keys; str (non-ASCII and control characters
+#: included), bool, None, int (huge ones too), float and np.float64 values;
+#: lists, tuples and dicts, empty ones included
+_FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, 1e300])
+_JSON_LEAVES = (
+    st.text()
+    | st.booleans()
+    | st.none()
+    | st.integers()
+    | st.integers(min_value=-(10 ** 400), max_value=10 ** 400)
+    | _FINITE
+    | _FINITE.map(np.float64)
+    | st.lists(_FINITE)
+)
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (
+        st.lists(children, max_size=5)
+        | st.lists(children, max_size=5).map(tuple)
+        | st.dictionaries(st.text(), children, max_size=5)
+    ),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_JSON_TREES)
+def test_render_json_writes_what_json_dumps_writes(tree):
+    assert render_json(tree) == json.dumps(tree, indent=2, allow_nan=False)
+
+
+def test_render_json_leaves_other_keys_to_json_dumps():
+    obj = {1: 2, None: [], 0.5: {}, False: "x", "k": {7: [1.0, 2.0]}}
+    assert render_json(obj) == json.dumps(obj, indent=2, allow_nan=False)
+
+
+@pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf, np.float64("nan"), np.int64(1), object()]
+)
+def test_render_json_raises_what_json_dumps_raises(bad):
+    for obj in (bad, [bad], [0.5, bad], ["a", bad], {"k": bad}, {"k": [1.0, 2.0, bad]}):
+        with pytest.raises((ValueError, TypeError)) as expected:
+            json.dumps(obj, indent=2, allow_nan=False)
+        assert type(expected.value) is (ValueError if isinstance(bad, float) else TypeError)
+        with pytest.raises(type(expected.value)) as raised:
+            render_json(obj)
+        assert str(raised.value) == str(expected.value)

@@ -16,11 +16,14 @@ in-process:
   seeds 1-3, which add tensors that are not weakly Einstein, forbidden-pattern
   space-form products and the tiny-scale slice, and on one document per seed
   scaled below the supported range (exit code 2);
-- ``gallery --all --json -`` and the commands of acceptance criterion 12.
+- ``gallery --all --json -`` and the commands of acceptance criterion 12;
+- the command lines argparse answers itself: no arguments, ``--version``,
+  ``-h``, an unknown subcommand, each subcommand's ``-h``, an unknown flag, a
+  bad float and a flag with its value missing.
 
 Input documents are built from NEW_CHECKOUT's ``benchmarks/inputs.py``.
-Stdout, stderr and the exit code must agree.  Prints how many outputs differ;
-exits 1 if any do.
+Stdout, stderr and the exit code (or the ``SystemExit`` code) must agree.
+Prints how many outputs differ; exits 1 if any do.
 """
 
 from __future__ import annotations
@@ -53,6 +56,15 @@ FIXED = [
     ["invariants", "--gallery", "example6", "--m", "2", "--seed", "1", "--json", "-"],
     ["fuzz", "--count", "20", "--seed", "9", "--json", "-"],
     ["gallery", "--all", "--seed", "4", "--json", "-"],
+    [],
+    ["--version"],
+    ["-h"],
+    ["no-such-command"],
+    ["identity", "-h"], ["check", "-h"], ["frame", "-h"],
+    ["invariants", "-h"], ["fuzz", "-h"], ["gallery", "-h"],
+    ["check", "--gallery", "example4", "--no-such-flag"],
+    ["check", "--gallery", "example4", "--tol", "x"],
+    ["frame", "--gallery"],
 ]
 
 
@@ -71,7 +83,10 @@ def load_cli(checkout: Path, name: str):
 def answer(cli, argv: list) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:  # argparse's help, version and usage errors
+            code = ("SystemExit", e.code)
     return out.getvalue(), err.getvalue(), code
 
 
