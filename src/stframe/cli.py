@@ -153,19 +153,22 @@ def _gallery_params(args) -> dict:
 
 
 def _header(args) -> dict:
-    """A report's command and input, then whichever of tol, tol_mult and seed
-    the subcommand takes."""
+    """A report's command and input, then whichever of tol and tol_mult the
+    subcommand takes."""
     head = {"command": args.command, "input": _input_echo(args)}
-    head.update((k, getattr(args, k)) for k in ("tol", "tol_mult", "seed") if hasattr(args, k))
+    head.update((k, getattr(args, k)) for k in ("tol", "tol_mult") if hasattr(args, k))
     return head
 
 
 def _load_tensor(args):
     if (args.input is None) == (args.gallery is None):
         raise ValidationError("input", "exactly one of --input FILE and --gallery NAME required")
+    params = _gallery_params(args)
     if args.gallery is not None:
-        load = functools.partial(gallery, args.gallery, **_gallery_params(args))
+        load = functools.partial(gallery, args.gallery, **params)
         return _checked_tensor(args.gallery, load)
+    if params:
+        raise ValidationError(next(iter(params)), "gallery parameters need --gallery")
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -452,13 +455,13 @@ _SUBCOMMANDS = {
     "identity": (_cmd_identity, "universal curvature identity residual", _TENSOR_FLAGS),
     "check": (_cmd_check, "Einstein / weakly-Einstein verdicts", (*_TENSOR_FLAGS, "tol-mult")),
     "frame": (_cmd_frame, "generalized Singer-Thorpe frame search",
-              (*_TENSOR_FLAGS, "tol-mult", "seed")),
+              (*_TENSOR_FLAGS, "tol-mult")),
     "invariants": (_cmd_invariants, "integrand vectors and closed-form invariants",
-                   (*_TENSOR_FLAGS, "tol-mult", "seed", "volume")),
+                   (*_TENSOR_FLAGS, "tol-mult", "volume")),
     "fuzz": (_cmd_fuzz, "random tensors through the identity residual",
              ("json", "tol", "seed", "count")),
     "gallery": (_cmd_gallery, "run the worked-example regression suite",
-                (*GALLERY_PARAMS, "json", "tol", "tol-mult", "seed", "list", "all", "name")),
+                (*GALLERY_PARAMS, "json", "tol", "tol-mult", "list", "all", "name")),
 }
 
 

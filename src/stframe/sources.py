@@ -143,25 +143,36 @@ def example4_algebra(a: float, b: float) -> LieAlgebra4:
     )
 
 
-GALLERY_NAMES = (
-    "example-s2-1",
-    "example-products",
-    "example-spaceform",
-    "example-pm-c",
-    "example4",
-    "example6",
-)
+#: each gallery entry's name and the numeric parameters it reads
+GALLERY_ENTRIES = {
+    "example-s2-1": (),
+    "example-products": ("c1", "c2"),
+    "example-spaceform": ("c",),
+    "example-pm-c": ("c",),
+    "example4": ("a", "b"),
+    "example6": ("m",),
+}
+GALLERY_NAMES = tuple(GALLERY_ENTRIES)
 
-#: the numeric parameters a gallery entry may take (each entry reads its own)
-GALLERY_PARAMS = ("c1", "c2", "c", "a", "b", "m")
+#: every numeric parameter some gallery entry reads
+GALLERY_PARAMS = tuple(dict.fromkeys(p for reads in GALLERY_ENTRIES.values() for p in reads))
 
 
 def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
     """Gallery tensor plus stored expectations (eigenvalues, verdicts, cases, volume).
 
     Eigenvalue expectations are listed in descending order to match the
-    eigensolver output.
+    eigensolver output.  A parameter that the entry does not read is a
+    ValidationError.
     """
+    reads = GALLERY_ENTRIES.get(name)
+    if reads is None:
+        raise UnknownGalleryName(f"unknown gallery name {name!r}; known: {GALLERY_NAMES}")
+    for key in params:
+        if key not in reads:
+            raise ValidationError(
+                key, f"not read by {name}, which reads {', '.join(reads) or 'no parameters'}"
+            )
     if name == "example-s2-1":
         _, R = lie_group_curvature(example_s2_1_algebra())
         meta = {
@@ -251,7 +262,6 @@ def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
             "surface_curvature": -1.0,
         }
         return surface_product(1.0, -1.0), meta
-    raise UnknownGalleryName(f"unknown gallery name {name!r}; known: {GALLERY_NAMES}")
 
 
 # --- JSON ingestion ----------------------------------------------------------

@@ -163,10 +163,13 @@ REMOVED_FLAGS = [
     ("check", "--volume"),
     ("check", "--seed"),
     ("frame", "--volume"),
+    ("frame", "--seed"),
+    ("invariants", "--seed"),
     ("fuzz", "--tol-mult"),
     ("gallery", "--input"),
     ("gallery", "--gallery"),
     ("gallery", "--volume"),
+    ("gallery", "--seed"),
 ]
 
 
@@ -180,6 +183,55 @@ def test_subcommands_reject_flags_they_do_not_read(capsys, command, flag):
     # the subcommand's own parser reports the flag, with its own usage line
     assert err.startswith(f"usage: stframe {command} ")
     assert f"stframe {command}: error: unrecognized arguments: {flag} 1" in err
+
+
+#: the parameters each gallery entry reads; it refuses the others
+GALLERY_READS = {
+    "example-s2-1": (),
+    "example-products": ("c1", "c2"),
+    "example-spaceform": ("c",),
+    "example-pm-c": ("c",),
+    "example4": ("a", "b"),
+    "example6": ("m",),
+}
+UNREAD_PARAMS = [
+    (name, param)
+    for name, reads in GALLERY_READS.items()
+    for param in ("c1", "c2", "c", "a", "b", "m")
+    if param not in reads
+]
+TENSOR_COMMANDS = ("identity", "check", "frame", "invariants")
+
+
+def test_gallery_entries_take_the_parameters_they_read(capsys):
+    assert len(UNREAD_PARAMS) == 29
+    assert sf.GALLERY_NAMES == tuple(GALLERY_READS)
+    for name, reads in GALLERY_READS.items():
+        for param in reads:
+            code, rep, _ = run_json(capsys, "check", "--gallery", name, f"--{param}", "2")
+            assert code in (0, 1) and rep["input"][param] == 2.0
+
+
+@pytest.mark.parametrize("name,param", UNREAD_PARAMS)
+def test_gallery_parameter_the_entry_does_not_read_exits_two(capsys, tmp_path, name, param):
+    doc = write_doc(tmp_path, "gallery.json", {"kind": "gallery", "name": name, param: 2.0})
+    for argv in (
+        *((command, "--gallery", name, f"--{param}", "2") for command in TENSOR_COMMANDS),
+        ("gallery", "--name", name, f"--{param}", "2"),
+        ("check", "--input", doc),
+    ):
+        code, out, err = run(capsys, *argv, "--json", "-")
+        assert code == 2 and out == ""
+        assert err == f"error: invalid field '{param}': not read by {name}, which reads " \
+            f"{', '.join(GALLERY_READS[name]) or 'no parameters'}\n"
+
+
+@pytest.mark.parametrize("command", TENSOR_COMMANDS)
+def test_gallery_parameter_with_input_exits_two(capsys, tmp_path, command):
+    doc = write_doc(tmp_path, "sphere.json", {"kind": "constant_curvature", "c": 1.0})
+    code, out, err = run(capsys, command, "--input", doc, "--c", "5", "--json", "-")
+    assert code == 2 and out == ""
+    assert err == "error: invalid field 'c': gallery parameters need --gallery\n"
 
 
 def outcome(capsys, call):
@@ -226,8 +278,8 @@ def test_reports_echo_the_settings_their_command_takes(capsys):
     for command, settings in (
         ("identity", ["tol"]),
         ("check", ["tol", "tol_mult"]),
-        ("frame", ["tol", "tol_mult", "seed"]),
-        ("invariants", ["tol", "tol_mult", "seed"]),
+        ("frame", ["tol", "tol_mult"]),
+        ("invariants", ["tol", "tol_mult"]),
     ):
         code, rep, _ = run_json(capsys, command, "--gallery", "example4")
         assert code == 0
@@ -349,15 +401,16 @@ def test_overflowing_structure_constants_are_one_usage_error(capsys, tmp_path):
 
 def test_consecutive_calls_share_no_state(capsys):
     code, rep, _ = run_json(
-        capsys, "invariants", "--gallery", "example6", "--m", "2", "--volume", "5"
+        capsys, "invariants", "--gallery", "example6", "--m", "2", "--volume", "5",
+        "--tol", "1e-8",
     )
     assert code == 0
     assert rep["input"] == {"kind": "gallery", "name": "example6", "m": 2.0}
-    assert rep["volume"] == 5.0
+    assert rep["volume"] == 5.0 and rep["tol"] == 1e-8
     code, rep, _ = run_json(capsys, "invariants", "--gallery", "example4")
     assert code == 0
     assert rep["input"] == {"kind": "gallery", "name": "example4"}
-    assert rep["seed"] == 0
+    assert rep["tol"] == 1e-9
     assert not {"volume", "chi", "p1", "C"} & set(rep)
     code, rep, _ = run_json(
         capsys, "check", "--gallery", "example-products", "--c1", "1", "--c2", "2"
@@ -429,8 +482,8 @@ def test_json_file_holds_the_text_printed_after_the_human_lines(capsys, tmp_path
 
 def test_machine_reports_are_byte_identical(capsys, tmp_path):
     commands = [
-        ["frame", "--gallery", "example4", "--a", "1", "--b", "0.5", "--seed", "3"],
-        ["invariants", "--gallery", "example6", "--m", "2", "--seed", "1"],
+        ["frame", "--gallery", "example4", "--a", "1", "--b", "0.5"],
+        ["invariants", "--gallery", "example6", "--m", "2"],
         ["fuzz", "--count", "10", "--seed", "5"],
         ["gallery", "--name", "example-pm-c", "--c", "3"],
     ]
@@ -449,10 +502,10 @@ def test_machine_reports_are_typed_strict_json(capsys, tmp_path):
     commands = [
         ["identity", "--gallery", "example-s2-1"],
         ["check", "--gallery", "example-products", "--c1", "1", "--c2", "2"],
-        ["frame", "--gallery", "example4", "--a", "1", "--b", "0.5", "--seed", "3"],
-        ["invariants", "--gallery", "example6", "--m", "2", "--seed", "1"],
+        ["frame", "--gallery", "example4", "--a", "1", "--b", "0.5"],
+        ["invariants", "--gallery", "example6", "--m", "2"],
         ["fuzz", "--count", "20", "--seed", "9"],
-        ["gallery", "--all", "--seed", "4"],
+        ["gallery", "--all"],
     ]
     path = tmp_path / "report.json"
     for argv in commands:

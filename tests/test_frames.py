@@ -32,6 +32,7 @@ from conftest import (
     ST_A_PRIME_PLANES,
     ST_B_INDICES,
     WEAKLY_EINSTEIN_GALLERY,
+    curvature_from_components,
     draw_st_shape,
     frame_free_invariants,
     loop_ricci,
@@ -452,6 +453,38 @@ def test_near_zero_plane_pair_drops_cases_whose_relation_misses():
         for case in rep.sign_cases.cases:
             f_case = sf.f_by_case(rep.sign_cases.eigenvalues, case)
             assert f_case == pytest.approx(f, abs=1e-12 * R.scale ** 2)
+
+
+def unmatched_plane_pair_tensor(t: float) -> sf.Curvature4:
+    """A tensor whose third plane pair misses an ST frame's by t:
+    a' = (1, 0.6, t) and a'' = (1, 0.6, 0), rotated by one random frame.
+    Its weakly Einstein residual moves by only about t^2."""
+    entries = dict(zip(ST_B_INDICES, (0.3, -0.5, 0.2)))
+    for (i, j), (k, l), a1, a2 in zip(
+        ST_A_PRIME_PLANES, ST_A_DPRIME_PLANES, (1.0, 0.6, t), (1.0, 0.6, 0.0)
+    ):
+        entries[(i, j, i, j)] = a1
+        entries[(k, l, k, l)] = a2
+    R0 = curvature_from_components(entries)
+    return sf.rotate(R0, sf.random_frame(np.random.default_rng(0)))
+
+
+def test_unmatched_plane_pair_below_the_sign_tolerance_is_answered():
+    R = unmatched_plane_pair_tensor(1e-9)
+    assert sf.weakly_einstein_residual(R).passes
+    assert sf.find_st_basis(R).sign_cases.cases == ("i", "ii")
+
+
+@pytest.mark.xfail(
+    strict=True, raises=NotSTFrame,
+    reason="the second-order verdict passes a plane pair off by t below about 3e-5 and the "
+    "first-order sign test refuses it",
+)
+@pytest.mark.parametrize("t", [1e-8, 1e-6, 4e-5])
+def test_unmatched_plane_pair_the_verdict_passes_is_answered(t):
+    R = unmatched_plane_pair_tensor(t)
+    assert sf.weakly_einstein_residual(R).passes
+    assert sf.find_st_basis(R).sign_cases.cases
 
 
 # --- constructive search ------------------------------------------------------

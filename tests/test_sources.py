@@ -186,6 +186,18 @@ def test_gallery_example4_rejects_degenerate_parameter():
         sf.gallery("example4", a=0.0)
 
 
+def test_gallery_refuses_parameters_the_entry_does_not_read():
+    for name, param in (("example4", "c"), ("example6", "a"), ("example-s2-1", "m")):
+        with pytest.raises(ValidationError) as exc:
+            sf.gallery(name, **{param: 2.0})
+        assert exc.value.field == param
+        with pytest.raises(ValidationError):
+            sf.realize(sf.load_spec(json.dumps({"kind": "gallery", "name": name, param: 2.0})))
+    # an unknown name is reported as such, whatever parameters come with it
+    with pytest.raises(UnknownGalleryName):
+        sf.gallery("no-such-example", a=1.0)
+
+
 # --- JSON ingestion -----------------------------------------------------------
 
 def test_load_spec_rejects_malformed_json():

@@ -52,10 +52,9 @@ FIXED = [
     ["gallery", "--all", "--json", "-"],
     ["identity", "--gallery", "example-s2-1", "--json", "-"],
     ["check", "--gallery", "example-products", "--c1", "1", "--c2", "2", "--json", "-"],
-    ["frame", "--gallery", "example4", "--a", "1", "--b", "0.5", "--seed", "3", "--json", "-"],
-    ["invariants", "--gallery", "example6", "--m", "2", "--seed", "1", "--json", "-"],
+    ["frame", "--gallery", "example4", "--a", "1", "--b", "0.5", "--json", "-"],
+    ["invariants", "--gallery", "example6", "--m", "2", "--json", "-"],
     ["fuzz", "--count", "20", "--seed", "9", "--json", "-"],
-    ["gallery", "--all", "--seed", "4", "--json", "-"],
     [],
     ["--version"],
     ["-h"],
