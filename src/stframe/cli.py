@@ -232,12 +232,11 @@ def _st_basis(R, args, **verdicts):
     try:
         return find_st_basis(R, tol=args.tol, tol_mult=args.tol_mult)
     except NotWeaklyEinstein as e:
-        report = {
-            "command": args.command,
-            "input": _input_echo(args),
-            "verdicts": {"weakly_einstein": False, **verdicts},
-            "weakly_einstein_residual": _residual_dict(e.report),
-        }
+        report = _header(args)
+        report.update(
+            verdicts={"weakly_einstein": False, **verdicts},
+            weakly_einstein_residual=_residual_dict(e.report),
+        )
         _emit(report, args)
         return None
 
@@ -516,10 +515,6 @@ def main(argv=None) -> int:
             value = getattr(args, field, None)
             if value is not None and not 0 < value < math.inf:
                 raise ValidationError(field, "must be a positive finite number")
-        for field in GALLERY_PARAMS:
-            value = getattr(args, field, None)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(field, "must be a finite number")
         return args.func(args)
     except (ParseError, ValidationError, UnknownGalleryName, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -406,15 +406,14 @@ _LAMBDA_PM = np.array([
 ])
 _QUARTER_LAMBDA_PM = 0.25 * _LAMBDA_PM
 
-#: per multiplicity pattern, the positions (in descending order) of the
-#: cluster of equal singular values of the Lambda+ x Lambda- block, and
-#: whether the cluster is zero; pattern II's nonzero pair is read off the gaps
+#: per multiplicity pattern but V (whose Ricci eigenbasis is the frame), the
+#: positions (descending) of the cluster of equal singular values of Lambda+ x
+#: Lambda-, and whether it is zero; pattern II's nonzero pair is read off the gaps
 _CLUSTERS = {
     "I": ((0, 1, 2), True),
     "II": (None, False),
     "III": ((1, 2), True),
     "IV": ((0, 1, 2), False),
-    "V": ((), False),
 }
 
 
@@ -442,19 +441,18 @@ def _closed_form_frame(R: Curvature4, spectrum: RicciSpectrum) -> Frame4:
         s0, s1, s2 = sigma.tolist()
         cluster = (0, 1) if s0 - s1 < s1 - s2 else (1, 2)
     cluster = list(cluster)
-    if cluster:
-        wp, wm = up[:, cluster], um[:, cluster]
-        ap, cm = wp.T @ A @ wp, wm.T @ C @ wm
-        if zero:
-            qp, qm = _eigh(ap)[1], _eigh(cm)[1]
-            # pair the two eigenbases so that what B has left sits on the diagonal
-            b = np.abs(qp.T @ wp.T @ B @ wm @ qm)
-            pairing = max(itertools.permutations(range(len(cluster))),
-                          key=lambda p: b[range(len(p)), p].sum())
-            up[:, cluster], um[:, cluster] = wp @ qp, wm @ qm[:, pairing]
-        else:
-            q = _eigh(ap - cm)[1]
-            up[:, cluster], um[:, cluster] = wp @ q, wm @ q
+    wp, wm = up[:, cluster], um[:, cluster]
+    ap, cm = wp.T @ A @ wp, wm.T @ C @ wm
+    if zero:
+        qp, qm = _eigh(ap)[1], _eigh(cm)[1]
+        # pair the two eigenbases so that what B has left sits on the diagonal
+        b = np.abs(qp.T @ wp.T @ B @ wm @ qm)
+        pairing = max(itertools.permutations(range(len(cluster))),
+                      key=lambda p: b[range(len(p)), p].sum())
+        up[:, cluster], um[:, cluster] = wp @ qp, wm @ qm[:, pairing]
+    else:
+        q = _eigh(ap - cm)[1]
+        up[:, cluster], um[:, cluster] = wp @ q, wm @ q
     for u, det in zip((up, um), _det(np.stack((up, um)))):
         if det < 0:
             u[:, 2] = -u[:, 2]

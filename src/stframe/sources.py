@@ -143,14 +143,14 @@ def example4_algebra(a: float, b: float) -> LieAlgebra4:
     )
 
 
-#: each gallery entry's name and the numeric parameters it reads
+#: each gallery entry's name, the numeric parameters it reads and their defaults
 GALLERY_ENTRIES = {
-    "example-s2-1": (),
-    "example-products": ("c1", "c2"),
-    "example-spaceform": ("c",),
-    "example-pm-c": ("c",),
-    "example4": ("a", "b"),
-    "example6": ("m",),
+    "example-s2-1": {},
+    "example-products": {"c1": 1.0, "c2": 1.0},
+    "example-spaceform": {"c": 1.0},
+    "example-pm-c": {"c": 1.0},
+    "example4": {"a": 1.0, "b": 0.0},
+    "example6": {"m": 2.0},
 }
 GALLERY_NAMES = tuple(GALLERY_ENTRIES)
 
@@ -159,20 +159,25 @@ GALLERY_PARAMS = tuple(dict.fromkeys(p for reads in GALLERY_ENTRIES.values() for
 
 
 def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
-    """Gallery tensor plus stored expectations (eigenvalues, verdicts, cases, volume).
+    """Gallery tensor plus its name, parameters and stored expectations
+    (eigenvalues, verdicts, cases, volume).
 
     Eigenvalue expectations are listed in descending order to match the
-    eigensolver output.  A parameter that the entry does not read is a
-    ValidationError.
+    eigensolver output.  A parameter that the entry does not read, or that
+    is not a finite number, is a ValidationError.
     """
-    reads = GALLERY_ENTRIES.get(name)
-    if reads is None:
+    defaults = GALLERY_ENTRIES.get(name)
+    if defaults is None:
         raise UnknownGalleryName(f"unknown gallery name {name!r}; known: {GALLERY_NAMES}")
-    for key in params:
-        if key not in reads:
+    p = dict(defaults)
+    for key, value in params.items():
+        if key not in defaults:
             raise ValidationError(
-                key, f"not read by {name}, which reads {', '.join(reads) or 'no parameters'}"
+                key, f"not read by {name}, which reads {', '.join(defaults) or 'no parameters'}"
             )
+        if not _all_finite((value,)):
+            raise ValidationError(key, "must be a finite number")
+        p[key] = float(value)
     if name == "example-s2-1":
         _, R = lie_group_curvature(example_s2_1_algebra())
         meta = {
@@ -183,23 +188,21 @@ def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
         }
         return R, meta
     if name == "example-products":
-        c1 = float(params.get("c1", 1.0))
-        c2 = float(params.get("c2", 1.0))
+        c1, c2 = p["c1"], p["c2"]
         eig = sorted([c1, c1, c2, c2], reverse=True)
         meta = {
             "name": name,
-            "c1": c1,
-            "c2": c2,
+            **p,
             "eigenvalues": eig,
             "weakly_einstein": c1 * c1 == c2 * c2,
             "einstein": c1 == c2,
         }
         return surface_product(c1, c2), meta
     if name == "example-spaceform":
-        c = float(params.get("c", 1.0))
+        c = p["c"]
         meta = {
             "name": name,
-            "c": c,
+            **p,
             "eigenvalues": sorted([2 * c, 2 * c, 2 * c, 0.0], reverse=True),
             "weakly_einstein": c == 0.0,
             "einstein": c == 0.0,
@@ -207,10 +210,10 @@ def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
         }
         return space_form_product(c), meta
     if name == "example-pm-c":
-        c = float(params.get("c", 1.0))
+        c = p["c"]
         meta = {
             "name": name,
-            "c": c,
+            **p,
             "eigenvalues": sorted([c, c, -c, -c], reverse=True),
             "weakly_einstein": True,
             "einstein": c == 0.0,
@@ -219,16 +222,14 @@ def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
         }
         return surface_product(c, -c), meta
     if name == "example4":
-        a = float(params.get("a", 1.0))
-        b = float(params.get("b", 0.0))
+        a, b = p["a"], p["b"]
         if a == 0.0:
             raise ValidationError("a", "example4 requires a != 0")
         _, R = lie_group_curvature(example4_algebra(a, b))
         a2 = a * a
         meta = {
             "name": name,
-            "a": a,
-            "b": b,
+            **p,
             "eigenvalues": [a2, -a2, -a2, -3 * a2],
             "weakly_einstein": True,
             "einstein": False,
@@ -237,7 +238,7 @@ def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
         }
         return R, meta
     if name == "example6":
-        m = float(params.get("m", 2))
+        m = p["m"]
         if not (m.is_integer() and m >= 2):
             raise ValidationError("m", "example6 requires an integer genus m >= 2")
         m = int(m)
@@ -258,8 +259,6 @@ def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
             "p1": 0.0,
             "C": float(8 * (1 - m)),
             "hitchin_ok": False,
-            "sphere_curvature": 1.0,
-            "surface_curvature": -1.0,
         }
         return surface_product(1.0, -1.0), meta
 
@@ -295,7 +294,7 @@ def _require_number(obj: dict, key: str) -> float:
 def _all_finite(values) -> bool:
     try:
         return all(map(math.isfinite, values))
-    except OverflowError:  # an int beyond the float range
+    except (OverflowError, TypeError):  # an int beyond the float range, or no number
         return False
 
 
@@ -320,7 +319,8 @@ def _require_rows(key: str, entries: list, shape: str, width: int) -> list[tuple
 
 
 def load_spec(text: str) -> GeometrySpec:
-    """Parse and validate a JSON geometry document (1-based indices)."""
+    """Parse and validate a JSON geometry document (1-based indices).  A key
+    other than kind, volume and the fields of its kind is a ValidationError."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -366,13 +366,16 @@ def load_spec(text: str) -> GeometrySpec:
         for key in GALLERY_PARAMS:
             if key in doc:
                 params[key] = _require_number(doc, key)
+    for key in doc:
+        if key not in params and key not in ("kind", "volume"):
+            raise ValidationError(key, f"not read by a {kind} document")
     return GeometrySpec(kind=kind, params=params, volume=volume)
 
 
 def realize(spec: GeometrySpec) -> tuple[Curvature4, dict]:
     """Build the curvature tensor described by a GeometrySpec."""
     p = spec.params
-    meta: dict = {"kind": spec.kind}
+    meta: dict = {}
     if spec.kind == "lie_group":
         c = np.zeros((DIM,) * 3)
         for i, j, k, v in p["c"]:
@@ -381,13 +384,10 @@ def realize(spec: GeometrySpec) -> tuple[Curvature4, dict]:
         _, R = lie_group_curvature(LieAlgebra4(c))
     elif spec.kind == "surface_product":
         R = surface_product(p["c1"], p["c2"])
-        meta.update(c1=p["c1"], c2=p["c2"])
     elif spec.kind == "space_form_product":
         R = space_form_product(p["c"])
-        meta.update(c=p["c"])
     elif spec.kind == "constant_curvature":
         R = constant_curvature(p["c"])
-        meta.update(c=p["c"])
     elif spec.kind == "raw_curvature":
         # plain list writes in document order: the last row (or closure
         # orbit) to name a component sets it, which a fancy-indexed numpy
@@ -401,11 +401,7 @@ def realize(spec: GeometrySpec) -> tuple[Curvature4, dict]:
                 flat[64 * i + 16 * j + 4 * k + l - 85] = v
         R = make_curvature(np.array(flat).reshape((DIM,) * 4))
     elif spec.kind == "gallery":
-        name = p["name"]
-        kwargs = {k: v for k, v in p.items() if k != "name"}
-        R, meta = gallery(name, **kwargs)
-        meta = dict(meta)
-        meta["kind"] = "gallery"
+        R, meta = gallery(**p)
     else:  # pragma: no cover - guarded by load_spec
         raise ValidationError("kind", "unknown kind")
     if spec.volume is not None:

@@ -226,6 +226,20 @@ def test_gallery_parameter_the_entry_does_not_read_exits_two(capsys, tmp_path, n
             f"{', '.join(GALLERY_READS[name]) or 'no parameters'}\n"
 
 
+def test_document_key_its_kind_does_not_read_exits_two(capsys, tmp_path):
+    for n, (doc, key) in enumerate((
+        ({"kind": "constant_curvature", "c": 1.0, "volume_": 5, "a": 3}, "volume_"),
+        ({"kind": "surface_product", "c1": 1.0, "c2": -1.0, "symmetry_closure": "yes"},
+         "symmetry_closure"),
+        ({"kind": "gallery", "name": "example4", "volume_": 5}, "volume_"),
+    )):
+        path = write_doc(tmp_path, f"doc{n}.json", doc)
+        for command in ("invariants", "check"):
+            code, out, err = run(capsys, command, "--input", path, "--json", "-")
+            assert code == 2 and out == ""
+            assert err == f"error: invalid field '{key}': not read by a {doc['kind']} document\n"
+
+
 @pytest.mark.parametrize("command", TENSOR_COMMANDS)
 def test_gallery_parameter_with_input_exits_two(capsys, tmp_path, command):
     doc = write_doc(tmp_path, "sphere.json", {"kind": "constant_curvature", "c": 1.0})
@@ -275,16 +289,18 @@ def test_subcommand_parsers_parse_as_the_top_level_parser_does(command):
 
 
 def test_reports_echo_the_settings_their_command_takes(capsys):
-    for command, settings in (
-        ("identity", ["tol"]),
-        ("check", ["tol", "tol_mult"]),
-        ("frame", ["tol", "tol_mult"]),
-        ("invariants", ["tol", "tol_mult"]),
+    # example-s2-1 is not weakly Einstein: check, frame and invariants exit 1 on it
+    for command, settings, s2_1_code in (
+        ("identity", ["tol"], 0),
+        ("check", ["tol", "tol_mult"], 1),
+        ("frame", ["tol", "tol_mult"], 1),
+        ("invariants", ["tol", "tol_mult"], 1),
     ):
-        code, rep, _ = run_json(capsys, command, "--gallery", "example4")
-        assert code == 0
-        assert list(rep)[:2 + len(settings)] == ["command", "input", *settings]
-        assert not ({"tol", "tol_mult", "seed"} - set(settings)) & set(rep)
+        for name, expected_code in (("example4", 0), ("example-s2-1", s2_1_code)):
+            code, rep, _ = run_json(capsys, command, "--gallery", name)
+            assert code == expected_code
+            assert list(rep)[:2 + len(settings)] == ["command", "input", *settings]
+            assert not ({"tol", "tol_mult", "seed"} - set(settings)) & set(rep)
 
 
 def test_usage_errors_exit_two(capsys, tmp_path):

@@ -198,6 +198,41 @@ def test_gallery_refuses_parameters_the_entry_does_not_read():
         sf.gallery("no-such-example", a=1.0)
 
 
+#: each gallery entry's parameters and their defaults
+GALLERY_DEFAULTS = {
+    "example-s2-1": {},
+    "example-products": {"c1": 1.0, "c2": 1.0},
+    "example-spaceform": {"c": 1.0},
+    "example-pm-c": {"c": 1.0},
+    "example4": {"a": 1.0, "b": 0.0},
+    "example6": {"m": 2.0},
+}
+
+
+@pytest.mark.parametrize("name", sf.GALLERY_NAMES)
+def test_gallery_metadata_holds_the_parameters_and_the_expectations(name):
+    _, meta = sf.gallery(name)
+    defaults = GALLERY_DEFAULTS[name]
+    assert {k: meta[k] for k in defaults} == defaults
+    expectations = {
+        "eigenvalues", "weakly_einstein", "einstein", "forbidden_pattern", "cases", "f",
+        "volume", "chi", "p1", "C", "hitchin_ok",
+    }
+    assert set(meta) <= {"name", *defaults, *expectations}
+
+
+@pytest.mark.parametrize(
+    "value", [math.nan, math.inf, -math.inf, 10 ** 400], ids=["nan", "inf", "-inf", "10**400"]
+)
+def test_gallery_parameters_must_be_finite_numbers(value):
+    for name, defaults in GALLERY_DEFAULTS.items():
+        for param in defaults:
+            with pytest.raises(ValidationError) as exc:
+                sf.gallery(name, **{param: value})
+            assert exc.value.field == param
+            assert exc.value.constraint == "must be a finite number"
+
+
 # --- JSON ingestion -----------------------------------------------------------
 
 def test_load_spec_rejects_malformed_json():
@@ -257,11 +292,29 @@ def test_load_spec_rejects_bad_values():
         sf.load_spec(json.dumps({"kind": "surface_product", "c1": 10 ** 400, "c2": 1.0}))
 
 
+def test_load_spec_refuses_keys_its_kind_does_not_read():
+    for doc, key in (
+        ({"kind": "lie_group", "c": [], "components": []}, "components"),
+        ({"kind": "surface_product", "c1": 1.0, "c2": -1.0, "symmetry_closure": True},
+         "symmetry_closure"),
+        ({"kind": "space_form_product", "c": 1.0, "c1": 1.0}, "c1"),
+        ({"kind": "constant_curvature", "c": 1.0, "volume_": 5}, "volume_"),
+        ({"kind": "raw_curvature", "components": [], "c": 1.0}, "c"),
+        ({"kind": "gallery", "name": "example4", "Name": "example6"}, "Name"),
+    ):
+        with pytest.raises(ValidationError) as err:
+            sf.load_spec(json.dumps({**doc, "volume": 2.0}))
+        assert err.value.field == key
+        assert err.value.constraint == f"not read by a {doc['kind']} document"
+        del doc[key]
+        assert sf.load_spec(json.dumps({**doc, "volume": 2.0})).volume == 2.0
+
+
 def test_surface_product_round_trip_through_json():
     doc = {"kind": "surface_product", "c1": 1.0, "c2": -1.0, "volume": 2.5}
     R, meta = sf.realize(sf.load_spec(json.dumps(doc)))
     assert np.abs(R.comp - sf.surface_product(1.0, -1.0).comp).max() == 0.0
-    assert meta["volume"] == 2.5
+    assert meta == {"volume": 2.5}
 
 
 def test_lie_group_round_trip_through_json():

@@ -12,10 +12,11 @@ in-process:
   the `report` inputs (patterns II and V and axis-aligned gallery entries)
   lack: they take the closed form's zero-cluster pairing and its pattern-IV
   branch;
-- ``check`` and ``identity`` with ``--json -`` on the 200 `screen` inputs of
-  seeds 1-3, which add tensors that are not weakly Einstein, forbidden-pattern
-  space-form products and the tiny-scale slice, and on one document per seed
-  scaled below the supported range (exit code 2);
+- ``check``, ``identity``, ``frame`` and ``invariants`` with ``--json -`` on
+  the 200 `screen` inputs of seeds 1-3, which add tensors that are not weakly
+  Einstein (the exit-1 reports of ``frame`` and ``invariants``),
+  forbidden-pattern space-form products and the tiny-scale slice, and on one
+  document per seed scaled below the supported range (exit code 2);
 - ``gallery --all --json -`` and the commands of acceptance criterion 12;
 - the command lines argparse answers itself: no arguments, ``--version``,
   ``-h``, an unknown subcommand, each subcommand's ``-h``, an unknown flag, a
@@ -122,7 +123,7 @@ def argvs(checkout: Path, workdir: Path):
                    for n, case in enumerate(cases)]
         sources.append(document(OUT_OF_RANGE * cases[0].comp, workdir / f"screen{seed}-out.json"))
         for source in sources:
-            for command in ("check", "identity"):
+            for command in ("check", "identity", "frame", "invariants"):
                 yield [command, *source, "--json", "-"]
 
 
