@@ -252,28 +252,31 @@ def _cmd_identity(args) -> int:
     return EXIT_OK if rep.passes else EXIT_VERDICT
 
 
-def _cmd_check(args) -> int:
-    R, _ = _load_tensor(args)
-    idrep = identity_residual(R, args.tol)
-    erep = einstein_residual(R, args.tol)
-    wrep = weakly_einstein_residual(R, args.tol)
-    spec = ricci_spectrum(R, args.tol_mult)
-    pattern_id = forbidden_pattern(spec.eigenvalues, args.tol_mult)
-    report = _header(args)
-    report.update(
-        verdicts={
-            "identity_ok": idrep.passes,
+def _check(R, tol: float, tol_mult: float) -> dict:
+    """The check report after its header."""
+    erep = einstein_residual(R, tol)
+    wrep = weakly_einstein_residual(R, tol)
+    spec = ricci_spectrum(R, tol_mult)
+    return {
+        "verdicts": {
+            "identity_ok": identity_residual(R, tol).passes,
             "einstein": erep.passes,
             "weakly_einstein": wrep.passes,
         },
-        eigenvalues=_floats(spec.eigenvalues),
-        pattern=spec.pattern.tag,
-        forbidden_pattern=pattern_id,
-        einstein_residual=_residual_dict(erep),
-        weakly_einstein_residual=_residual_dict(wrep),
-    )
+        "eigenvalues": _floats(spec.eigenvalues),
+        "pattern": spec.pattern.tag,
+        "forbidden_pattern": forbidden_pattern(spec.eigenvalues, tol_mult),
+        "einstein_residual": _residual_dict(erep),
+        "weakly_einstein_residual": _residual_dict(wrep),
+    }
+
+
+def _cmd_check(args) -> int:
+    R, _ = _load_tensor(args)
+    report = _header(args)
+    report.update(_check(R, args.tol, args.tol_mult))
     _emit(report, args)
-    return EXIT_OK if wrep.passes else EXIT_VERDICT
+    return EXIT_OK if report["verdicts"]["weakly_einstein"] else EXIT_VERDICT
 
 
 def _cmd_frame(args) -> int:
@@ -296,33 +299,26 @@ def _cmd_frame(args) -> int:
     return EXIT_OK
 
 
-def _cmd_invariants(args) -> int:
-    R, meta = _load_tensor(args)
-    volume = meta.get("volume") if args.volume is None else args.volume
-    st = _st_basis(R, args)
-    if st is None:
-        return EXIT_VERDICT
+def _invariants(R, st, volume) -> dict:
+    """The invariants report after its verdicts, read off st.components."""
     scale = R.scale
     vec = vectors_from_components(st.components, scale)
     inv = invariants_from_vectors(vec, scale, volume)
-    report = _header(args)
-    report.update(
-        verdicts={"weakly_einstein": True},
-        st_frame=_floats(st.frame.matrix),
-        penalty=st.penalty,
-        sign_cases=list(st.sign_cases.cases),
-        st_vectors={
+    report = {
+        "st_frame": _floats(st.frame.matrix),
+        "penalty": st.penalty,
+        "sign_cases": list(st.sign_cases.cases),
+        "st_vectors": {
             "a_prime": _floats(vec.a_prime),
             "a_dprime": _floats(vec.a_dprime),
             "b": _floats(vec.b),
             "a": _floats(vec.a),
         },
-        f=inv.f,
-        f_by_case=dict(st.sign_cases.f),
-        chi_density=inv.chi_density,
-        p1_density=inv.p1_density,
-    )
-    ok = True
+        "f": inv.f,
+        "f_by_case": dict(st.sign_cases.f),
+        "chi_density": inv.chi_density,
+        "p1_density": inv.p1_density,
+    }
     if volume is not None:
         report.update(
             volume=inv.volume,
@@ -333,8 +329,19 @@ def _cmd_invariants(args) -> int:
             bound_minus_ok=inv.bound_minus_ok,
             hitchin_ok=inv.hitchin_ok,
         )
-        ok = inv.bound_plus_ok and inv.bound_minus_ok
+    return report
+
+
+def _cmd_invariants(args) -> int:
+    R, meta = _load_tensor(args)
+    volume = meta.get("volume") if args.volume is None else args.volume
+    st = _st_basis(R, args)
+    if st is None:
+        return EXIT_VERDICT
+    report = _header(args)
+    report.update(verdicts={"weakly_einstein": True}, **_invariants(R, st, volume))
     _emit(report, args)
+    ok = report.get("bound_plus_ok", True) and report.get("bound_minus_ok", True)
     return EXIT_OK if ok else EXIT_VERDICT
 
 
@@ -366,46 +373,36 @@ def _cmd_fuzz(args) -> int:
 
 
 def _gallery_diff(name: str, params: dict, tol: float, tol_mult: float) -> dict:
-    """Run the full pipeline on one gallery entry and diff against metadata."""
+    """The check answer and, for a weakly Einstein tensor, the invariants
+    answer on one gallery entry, diffed against its stored expectations."""
     R, meta = _checked_tensor(name, functools.partial(gallery, name, **params))
-    mismatches = []
-    spec = ricci_spectrum(R, tol_mult)
-    expected_eig = np.asarray(meta["eigenvalues"], dtype=float)
-    if np.abs(spec.eigenvalues - expected_eig).max() > 1e-9 * R.scale:
-        mismatches.append("eigenvalues")
-    wrep = weakly_einstein_residual(R, tol)
-    if wrep.passes != meta["weakly_einstein"]:
-        mismatches.append("weakly_einstein")
-    erep = einstein_residual(R, tol)
-    if erep.passes != meta["einstein"]:
-        mismatches.append("einstein")
-    if meta.get("forbidden_pattern") is not None:
-        if forbidden_pattern(spec.eigenvalues, tol_mult) != meta["forbidden_pattern"]:
-            mismatches.append("forbidden_pattern")
+    check = _check(R, tol, tol_mult)
     entry = {
         "name": name,
         "params": dict(params),
-        "eigenvalues": _floats(spec.eigenvalues),
-        "weakly_einstein": wrep.passes,
-        "einstein": erep.passes,
+        "eigenvalues": check["eigenvalues"],
+        "weakly_einstein": check["verdicts"]["weakly_einstein"],
+        "einstein": check["verdicts"]["einstein"],
     }
-    if wrep.passes:
-        st = find_st_basis(R, tol=tol, tol_mult=tol_mult)
-        entry["penalty"] = st.penalty
-        entry["sign_cases"] = list(st.sign_cases.cases)
-        if meta.get("cases") and not set(meta["cases"]) <= set(st.sign_cases.cases):
+    mismatches = []
+    if np.abs(np.subtract(entry["eigenvalues"], meta["eigenvalues"])).max() > 1e-9 * R.scale:
+        mismatches.append("eigenvalues")
+    mismatches += [key for key in ("weakly_einstein", "einstein") if entry[key] != meta[key]]
+    if meta.get("forbidden_pattern") not in (None, check["forbidden_pattern"]):
+        mismatches.append("forbidden_pattern")
+    if entry["weakly_einstein"]:
+        inv = _invariants(R, find_st_basis(R, tol=tol, tol_mult=tol_mult), meta.get("volume"))
+        entry.update(penalty=inv["penalty"], sign_cases=inv["sign_cases"], f=inv["f"])
+        if meta.get("cases") and not set(meta["cases"]) <= set(inv["sign_cases"]):
             mismatches.append("cases")
-        vec = vectors_from_components(st.components, R.scale)
-        inv = invariants_from_vectors(vec, R.scale, meta.get("volume"))
-        entry["f"] = inv.f
-        if "f" in meta and abs(inv.f - meta["f"]) > 1e-8 * R.scale ** 2:
+        if "f" in meta and abs(inv["f"] - meta["f"]) > 1e-8 * R.scale ** 2:
             mismatches.append("f")
         if "volume" in meta:
-            entry.update(chi=inv.chi, p1=inv.p1, C=inv.C, hitchin_ok=inv.hitchin_ok)
+            entry.update((key, inv[key]) for key in ("chi", "p1", "C", "hitchin_ok"))
             for key in ("chi", "p1", "C"):
                 if abs(entry[key] - meta[key]) > 1e-9 * max(1.0, abs(meta[key])):
                     mismatches.append(key)
-            if inv.hitchin_ok != meta["hitchin_ok"]:
+            if inv["hitchin_ok"] != meta["hitchin_ok"]:
                 mismatches.append("hitchin_ok")
     entry["mismatches"] = mismatches
     entry["ok"] = not mismatches

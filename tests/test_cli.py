@@ -2,6 +2,7 @@
 
 import json
 import math
+import operator
 import sys
 import warnings
 
@@ -11,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stframe as sf
-from stframe.cli import _SUBCOMMANDS, build_parser, main, render_json
+import stframe.cli
+from stframe.cli import GALLERY_SUITE, _SUBCOMMANDS, build_parser, main, render_json
 
 from conftest import st_construction
 
@@ -139,6 +141,55 @@ def test_gallery_all(capsys):
     assert code == 0
     assert rep["all_ok"] is True
     assert len(rep["runs"]) >= 10
+
+
+def _add_one(value):
+    return value + 1.0
+
+
+#: each stored expectation: a gallery entry that compares it, and a wrong value for it
+WRONG_EXPECTATIONS = {
+    "eigenvalues": ("example4", lambda eig: [lam + 1.0 for lam in eig]),
+    "weakly_einstein": ("example-s2-1", operator.not_),
+    "einstein": ("example4", operator.not_),
+    "forbidden_pattern": ("example-spaceform", lambda pattern: 2),
+    "cases": ("example4", lambda cases: ["i"]),
+    "f": ("example4", _add_one),
+    "chi": ("example6", _add_one),
+    "p1": ("example6", _add_one),
+    "C": ("example6", _add_one),
+    "hitchin_ok": ("example6", operator.not_),
+}
+
+
+@pytest.mark.parametrize("key", WRONG_EXPECTATIONS)
+def test_gallery_compares_every_stored_expectation(capsys, monkeypatch, key):
+    name, wrong = WRONG_EXPECTATIONS[key]
+    real = stframe.cli.gallery
+
+    def perturbed(*args, **params):
+        R, meta = real(*args, **params)
+        return R, {**meta, key: wrong(meta[key])}
+
+    monkeypatch.setattr(stframe.cli, "gallery", perturbed)
+    code, rep, _ = run_json(capsys, "gallery", "--name", name)
+    assert code == 1 and rep["all_ok"] is False
+    assert rep["runs"][0]["mismatches"] == [key]
+
+
+@pytest.mark.parametrize("name, params", GALLERY_SUITE)
+def test_gallery_entry_agrees_with_check_and_invariants(capsys, name, params):
+    flags = [f"--{k}={v}" for k, v in params.items()]
+    _, rep, _ = run_json(capsys, "gallery", "--name", name, *flags)
+    entry = rep["runs"][0]
+    _, check, _ = run_json(capsys, "check", "--gallery", name, *flags)
+    assert entry["eigenvalues"] == check["eigenvalues"]
+    assert entry["weakly_einstein"] == check["verdicts"]["weakly_einstein"]
+    assert entry["einstein"] == check["verdicts"]["einstein"]
+    if entry["weakly_einstein"]:
+        _, inv, _ = run_json(capsys, "invariants", "--gallery", name, *flags)
+        keys = ("penalty", "sign_cases", "f", "chi", "p1", "C", "hitchin_ok")
+        assert {k: entry.get(k) for k in keys} == {k: inv.get(k) for k in keys}
 
 
 def test_gallery_takes_exactly_one_mode(capsys):

@@ -18,6 +18,9 @@ in-process:
   forbidden-pattern space-form products and the tiny-scale slice, and on one
   document per seed scaled below the supported range (exit code 2);
 - ``gallery --all --json -`` and the commands of acceptance criterion 12;
+- ``gallery --name ... --json -`` on the points ``--all`` lacks: zero and
+  Einstein tensors, forbidden pattern 4 and parameters an entry refuses
+  (exit code 2);
 - the command lines argparse answers itself: no arguments, ``--version``,
   ``-h``, an unknown subcommand, each subcommand's ``-h``, an unknown flag, a
   bad float and a flag with its value missing.
@@ -49,8 +52,24 @@ ROTATED_PER_PATTERN = 4
 #: scales a document below the CLI's supported range, so that the usage
 #: error (exit code 2) and its message are compared too
 OUT_OF_RANGE = 1e-150
+#: gallery points that ``gallery --all`` lacks, as NAME and its parameter flags
+GALLERY_POINTS = [
+    ["example-products", "--c1=1", "--c2=-1"],
+    ["example-products", "--c1=2", "--c2=1"],
+    ["example-products", "--c1=0", "--c2=0"],
+    ["example-spaceform", "--c=-1"],
+    ["example-spaceform", "--c=0"],
+    ["example-pm-c", "--c=0"],
+    ["example-pm-c", "--c=-2"],
+    ["example4", "--a=-1", "--b=3"],
+    ["example4", "--a=0"],
+    ["example6", "--m=5"],
+    ["example6", "--m=2.5"],
+    ["example-s2-1"],
+]
 FIXED = [
     ["gallery", "--all", "--json", "-"],
+    *(["gallery", "--name", *point, "--json", "-"] for point in GALLERY_POINTS),
     ["identity", "--gallery", "example-s2-1", "--json", "-"],
     ["check", "--gallery", "example-products", "--c1", "1", "--c2", "2", "--json", "-"],
     ["frame", "--gallery", "example4", "--a", "1", "--b", "0.5", "--json", "-"],
