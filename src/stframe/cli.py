@@ -387,7 +387,11 @@ def _gallery_diff(name: str, params: dict, tol: float, tol_mult: float) -> dict:
     mismatches = []
     if np.abs(np.subtract(entry["eigenvalues"], meta["eigenvalues"])).max() > 1e-9 * R.scale:
         mismatches.append("eigenvalues")
-    mismatches += [key for key in ("weakly_einstein", "einstein") if entry[key] != meta[key]]
+    found = {**check["verdicts"], "pattern": check["pattern"]}
+    mismatches += [
+        key for key in ("identity_ok", "weakly_einstein", "einstein", "pattern")
+        if found[key] != meta[key]
+    ]
     if meta.get("forbidden_pattern") not in (None, check["forbidden_pattern"]):
         mismatches.append("forbidden_pattern")
     if entry["weakly_einstein"]:

@@ -120,27 +120,24 @@ def random_curvature(seed: int) -> Curvature4:
 
 # --- gallery -----------------------------------------------------------------
 
-def _solvable_lie_algebra(brackets: dict[tuple[int, int], dict[int, float]]) -> LieAlgebra4:
+def _lie_algebra(rows) -> LieAlgebra4:
+    """The algebra with c_ijk = v and c_jik = -v for each 1-based row
+    (i, j, k, v), written in order."""
     c = np.zeros((DIM,) * 3)
-    for (i, j), terms in brackets.items():
-        for k, v in terms.items():
-            c[i - 1, j - 1, k - 1] = v
-            c[j - 1, i - 1, k - 1] = -v
+    for i, j, k, v in rows:
+        c[i - 1, j - 1, k - 1] = v
+        c[j - 1, i - 1, k - 1] = -v
     return LieAlgebra4(c)
 
 
 def example_s2_1_algebra() -> LieAlgebra4:
     """Solvable group with [e1,e2]=2e2, [e1,e3]=-e3, [e1,e4]=2e3-e4."""
-    return _solvable_lie_algebra(
-        {(1, 2): {2: 2.0}, (1, 3): {3: -1.0}, (1, 4): {3: 2.0, 4: -1.0}}
-    )
+    return _lie_algebra([(1, 2, 2, 2.0), (1, 3, 3, -1.0), (1, 4, 3, 2.0), (1, 4, 4, -1.0)])
 
 
 def example4_algebra(a: float, b: float) -> LieAlgebra4:
     """Solvable group with [e1,e2]=a e2, [e1,e3]=-a e3 - b e4, [e1,e4]=b e3 - a e4."""
-    return _solvable_lie_algebra(
-        {(1, 2): {2: a}, (1, 3): {3: -a, 4: -b}, (1, 4): {3: b, 4: -a}}
-    )
+    return _lie_algebra([(1, 2, 2, a), (1, 3, 3, -a), (1, 3, 4, -b), (1, 4, 3, b), (1, 4, 4, -a)])
 
 
 #: each gallery entry's name, the numeric parameters it reads and their defaults
@@ -160,7 +157,7 @@ GALLERY_PARAMS = tuple(dict.fromkeys(p for reads in GALLERY_ENTRIES.values() for
 
 def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
     """Gallery tensor plus its name, parameters and stored expectations
-    (eigenvalues, verdicts, cases, volume).
+    (verdicts, eigenvalues, pattern, cases, volume).
 
     Eigenvalue expectations are listed in descending order to match the
     eigensolver output.  A parameter that the entry does not read, or that
@@ -178,66 +175,61 @@ def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
         if not _all_finite((value,)):
             raise ValidationError(key, "must be a finite number")
         p[key] = float(value)
+    # every entry is an algebraic curvature tensor
+    meta = {"name": name, **p, "identity_ok": True}
     if name == "example-s2-1":
         _, R = lie_group_curvature(example_s2_1_algebra())
-        meta = {
-            "name": name,
-            "eigenvalues": [2.0, 0.0, -2.0, -8.0],
-            "weakly_einstein": False,
-            "einstein": False,
-        }
-        return R, meta
-    if name == "example-products":
+        meta.update(
+            eigenvalues=[2.0, 0.0, -2.0, -8.0],
+            weakly_einstein=False,
+            einstein=False,
+            pattern="V",
+        )
+    elif name == "example-products":
         c1, c2 = p["c1"], p["c2"]
-        eig = sorted([c1, c1, c2, c2], reverse=True)
-        meta = {
-            "name": name,
-            **p,
-            "eigenvalues": eig,
-            "weakly_einstein": c1 * c1 == c2 * c2,
-            "einstein": c1 == c2,
-        }
-        return surface_product(c1, c2), meta
-    if name == "example-spaceform":
+        R = surface_product(c1, c2)
+        meta.update(
+            eigenvalues=sorted([c1, c1, c2, c2], reverse=True),
+            weakly_einstein=c1 * c1 == c2 * c2,
+            einstein=c1 == c2,
+            pattern="I" if c1 == c2 else "III",
+        )
+    elif name == "example-spaceform":
         c = p["c"]
-        meta = {
-            "name": name,
-            **p,
-            "eigenvalues": sorted([2 * c, 2 * c, 2 * c, 0.0], reverse=True),
-            "weakly_einstein": c == 0.0,
-            "einstein": c == 0.0,
-            "forbidden_pattern": None if c == 0.0 else (1 if c > 0 else 4),
-        }
-        return space_form_product(c), meta
-    if name == "example-pm-c":
+        R = space_form_product(c)
+        meta.update(
+            eigenvalues=sorted([2 * c, 2 * c, 2 * c, 0.0], reverse=True),
+            weakly_einstein=c == 0.0,
+            einstein=c == 0.0,
+            pattern="I" if c == 0.0 else "IV",
+            forbidden_pattern=None if c == 0.0 else (1 if c > 0 else 4),
+        )
+    elif name == "example-pm-c":
         c = p["c"]
-        meta = {
-            "name": name,
-            **p,
-            "eigenvalues": sorted([c, c, -c, -c], reverse=True),
-            "weakly_einstein": True,
-            "einstein": c == 0.0,
-            "cases": ["ii", "vi", "vii", "viii"] if c != 0.0 else None,
-            "f": -(c * c) if c != 0 else 0.0,
-        }
-        return surface_product(c, -c), meta
-    if name == "example4":
+        R = surface_product(c, -c)
+        meta.update(
+            eigenvalues=sorted([c, c, -c, -c], reverse=True),
+            weakly_einstein=True,
+            einstein=c == 0.0,
+            pattern="I" if c == 0.0 else "III",
+            cases=["ii", "vi", "vii", "viii"] if c != 0.0 else None,
+            f=-(c * c) if c != 0 else 0.0,
+        )
+    elif name == "example4":
         a, b = p["a"], p["b"]
         if a == 0.0:
             raise ValidationError("a", "example4 requires a != 0")
         _, R = lie_group_curvature(example4_algebra(a, b))
         a2 = a * a
-        meta = {
-            "name": name,
-            **p,
-            "eigenvalues": [a2, -a2, -a2, -3 * a2],
-            "weakly_einstein": True,
-            "einstein": False,
-            "cases": ["v"],
-            "f": -2 * a2 * a2,
-        }
-        return R, meta
-    if name == "example6":
+        meta.update(
+            eigenvalues=[a2, -a2, -a2, -3 * a2],
+            weakly_einstein=True,
+            einstein=False,
+            pattern="II",
+            cases=["v"],
+            f=-2 * a2 * a2,
+        )
+    else:  # example6
         m = p["m"]
         if not (m.is_integer() and m >= 2):
             raise ValidationError("m", "example6 requires an integer genus m >= 2")
@@ -247,32 +239,33 @@ def gallery(name: str, **params: float) -> tuple[Curvature4, dict]:
         volume = 4 * math.pi * 4 * math.pi * (m - 1)
         if not math.isfinite(volume):
             raise ValidationError("m", "example6 genus m too large: its volume overflows")
-        meta = {
-            "name": name,
-            "m": m,
-            "eigenvalues": [1.0, 1.0, -1.0, -1.0],
-            "weakly_einstein": True,
-            "einstein": False,
-            "cases": ["ii", "vi", "vii", "viii"],
-            "volume": volume,
-            "chi": float(4 * (1 - m)),
-            "p1": 0.0,
-            "C": float(8 * (1 - m)),
-            "hitchin_ok": False,
-        }
-        return surface_product(1.0, -1.0), meta
+        R = surface_product(1.0, -1.0)
+        meta.update(
+            m=m,
+            eigenvalues=[1.0, 1.0, -1.0, -1.0],
+            weakly_einstein=True,
+            einstein=False,
+            pattern="III",
+            cases=["ii", "vi", "vii", "viii"],
+            volume=volume,
+            chi=float(4 * (1 - m)),
+            p1=0.0,
+            C=float(8 * (1 - m)),
+            hitchin_ok=False,
+        )
+    return R, meta
 
 
 # --- JSON ingestion ----------------------------------------------------------
 
-_KINDS = (
-    "lie_group",
-    "surface_product",
-    "space_form_product",
-    "constant_curvature",
-    "raw_curvature",
-    "gallery",
-)
+#: each document kind that takes numbers: the fields it reads, in order, and
+#: the constructor that takes them
+_NUMBER_KINDS = {
+    "surface_product": (("c1", "c2"), surface_product),
+    "space_form_product": (("c",), space_form_product),
+    "constant_curvature": (("c",), constant_curvature),
+}
+_KINDS = ("lie_group", *_NUMBER_KINDS, "raw_curvature", "gallery")
 
 
 @dataclass(frozen=True)
@@ -325,6 +318,8 @@ def load_spec(text: str) -> GeometrySpec:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ParseError(e.pos, e.msg) from e
+    except RecursionError as e:
+        raise ParseError(0, "document nests too deeply") from e
     if not isinstance(doc, dict):
         raise ValidationError("document", "must be a JSON object")
     kind = doc.get("kind")
@@ -337,16 +332,13 @@ def load_spec(text: str) -> GeometrySpec:
             raise ValidationError("volume", "must be positive")
 
     params: dict = {}
-    if kind == "lie_group":
+    if kind in _NUMBER_KINDS:
+        params = {key: _require_number(doc, key) for key in _NUMBER_KINDS[kind][0]}
+    elif kind == "lie_group":
         entries = doc.get("c")
         if not isinstance(entries, list):
             raise ValidationError("c", "must be a list of [i, j, k, value] rows")
         params["c"] = _require_rows("c", entries, "[i, j, k, value]", 4)
-    elif kind == "surface_product":
-        params["c1"] = _require_number(doc, "c1")
-        params["c2"] = _require_number(doc, "c2")
-    elif kind in ("space_form_product", "constant_curvature"):
-        params["c"] = _require_number(doc, "c")
     elif kind == "raw_curvature":
         entries = doc.get("components")
         if not isinstance(entries, list):
@@ -376,18 +368,10 @@ def realize(spec: GeometrySpec) -> tuple[Curvature4, dict]:
     """Build the curvature tensor described by a GeometrySpec."""
     p = spec.params
     meta: dict = {}
-    if spec.kind == "lie_group":
-        c = np.zeros((DIM,) * 3)
-        for i, j, k, v in p["c"]:
-            c[i - 1, j - 1, k - 1] = v
-            c[j - 1, i - 1, k - 1] = -v
-        _, R = lie_group_curvature(LieAlgebra4(c))
-    elif spec.kind == "surface_product":
-        R = surface_product(p["c1"], p["c2"])
-    elif spec.kind == "space_form_product":
-        R = space_form_product(p["c"])
-    elif spec.kind == "constant_curvature":
-        R = constant_curvature(p["c"])
+    if spec.kind in _NUMBER_KINDS:
+        R = _NUMBER_KINDS[spec.kind][1](**p)
+    elif spec.kind == "lie_group":
+        _, R = lie_group_curvature(_lie_algebra(p["c"]))
     elif spec.kind == "raw_curvature":
         # plain list writes in document order: the last row (or closure
         # orbit) to name a component sets it, which a fancy-indexed numpy

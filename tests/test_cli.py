@@ -8,7 +8,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import stframe as sf
@@ -150,8 +150,10 @@ def _add_one(value):
 #: each stored expectation: a gallery entry that compares it, and a wrong value for it
 WRONG_EXPECTATIONS = {
     "eigenvalues": ("example4", lambda eig: [lam + 1.0 for lam in eig]),
+    "identity_ok": ("example4", operator.not_),
     "weakly_einstein": ("example-s2-1", operator.not_),
     "einstein": ("example4", operator.not_),
+    "pattern": ("example4", lambda pattern: "I"),
     "forbidden_pattern": ("example-spaceform", lambda pattern: 2),
     "cases": ("example4", lambda cases: ["i"]),
     "f": ("example4", _add_one),
@@ -638,3 +640,81 @@ def test_render_json_raises_what_json_dumps_raises(bad):
         with pytest.raises(type(expected.value)) as raised:
             render_json(obj)
         assert str(raised.value) == str(expected.value)
+
+
+# --- every document ends in an exit code of the contract ----------------------
+
+TENSOR_COMMANDS = ("identity", "check", "frame", "invariants")
+#: documents nested past the parser's recursion limit
+DEEP_DOCUMENTS = {"arrays": "[" * 5000, "objects": '{"a": ' * 3000}
+
+
+@pytest.mark.parametrize("shape", DEEP_DOCUMENTS)
+@pytest.mark.parametrize("command", TENSOR_COMMANDS)
+def test_deeply_nested_document_exits_two(capsys, tmp_path, command, shape):
+    doc = tmp_path / "deep.json"
+    doc.write_text(DEEP_DOCUMENTS[shape])
+    code, out, err = run(capsys, command, "--input", str(doc), "--json", "-")
+    assert code == 2 and out == ""
+    assert err == "error: parse error at 0: document nests too deeply\n"
+
+
+#: hostile values for a document field: numbers at the edges of the float
+#: range and beyond it, values that are no number, rows and names
+_SCALARS = st.sampled_from(
+    [0, 1, -1, 2, 0.5, 5e-324, 1e150, 1.7e308, -1.7e308, 10 ** 400, True, False, "1", None, []]
+)
+_ROWS = st.lists(
+    st.lists(st.integers(1, 4), min_size=3, max_size=4).flatmap(
+        lambda indices: _SCALARS.map(lambda value: [*indices, value])
+    )
+    | st.lists(st.integers(-1, 5) | _SCALARS, max_size=6),
+    max_size=6,
+)
+_NAMES = st.sampled_from(
+    [*sf.GALLERY_NAMES, "no-such-entry", "lie_group", "surface_product", "raw_curvature"]
+)
+#: one valid document of each kind, which the property edits
+_VALID_DOCUMENTS = [
+    {"kind": "lie_group",
+     "c": [[1, 2, 2, 1], [1, 3, 3, -1], [1, 3, 4, -0.5], [1, 4, 3, 0.5], [1, 4, 4, -1]]},
+    {"kind": "surface_product", "c1": 1, "c2": -1},
+    {"kind": "space_form_product", "c": 1},
+    {"kind": "constant_curvature", "c": -1, "volume": 2},
+    {"kind": "raw_curvature", "components": [[1, 2, 1, 2, -1.0], [3, 4, 3, 4, 2.0]],
+     "symmetry_closure": True},
+    {"kind": "gallery", "name": "example6", "m": 3},
+]
+_FIELDS = sorted(
+    {key for doc in _VALID_DOCUMENTS for key in doc} | {*stframe.cli.GALLERY_PARAMS, "unread"}
+)
+_EDITED_DOCUMENTS = st.builds(
+    lambda doc, removed, edits: {k: v for k, v in {**doc, **edits}.items() if k not in removed},
+    st.sampled_from(_VALID_DOCUMENTS),
+    st.sets(st.sampled_from(_FIELDS), max_size=1),
+    st.dictionaries(st.sampled_from(_FIELDS), _SCALARS | _ROWS | _NAMES | _JSON_TREES,
+                    max_size=2),
+)
+_NESTED_DOCUMENTS = st.builds(
+    operator.mul, st.sampled_from(["[", '{"a": ', '{"kind": "gallery", "name": [']),
+    st.sampled_from([1, 100, 2000, 5000]),
+)
+_DOCUMENTS = st.one_of(
+    _EDITED_DOCUMENTS.map(json.dumps), _JSON_TREES.map(json.dumps), _NESTED_DOCUMENTS
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(command=st.sampled_from(TENSOR_COMMANDS), text=_DOCUMENTS)
+def test_every_document_ends_in_an_exit_code_of_the_contract(capsys, tmp_path, command, text):
+    doc = tmp_path / "doc.json"
+    doc.write_text(text)
+    code, out, err = run(capsys, command, "--input", str(doc), "--json", "-")
+    assert code in (0, 1, 2, 3)
+    if code >= 2:
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+    else:
+        assert err == ""
+    if code == 2:
+        assert out == ""

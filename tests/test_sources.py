@@ -170,6 +170,26 @@ def test_gallery_metadata_is_self_consistent(name):
     assert sf.einstein_residual(R).passes == meta["einstein"]
 
 
+#: each entry at its defaults, then points where a stored pattern takes its other branch
+GALLERY_POINTS = [
+    *((name, {}) for name in sf.GALLERY_NAMES),
+    ("example-products", {"c1": 1.0, "c2": 2.0}),
+    ("example-products", {"c1": 1.0, "c2": -1.0}),
+    ("example-products", {"c1": 0.0, "c2": 0.0}),
+    ("example-spaceform", {"c": 0.0}),
+    ("example-spaceform", {"c": -1.0}),
+    ("example-pm-c", {"c": 0.0}),
+    ("example4", {"a": -1.0, "b": 3.0}),
+]
+
+
+@pytest.mark.parametrize("name, params", GALLERY_POINTS)
+def test_gallery_stored_identity_verdict_and_pattern_hold(name, params):
+    R, meta = sf.gallery(name, **params)
+    assert sf.identity_residual(R).passes == meta["identity_ok"]
+    assert sf.ricci_spectrum(R).pattern.tag == meta["pattern"]
+
+
 def test_gallery_example6_volume_and_expectations():
     for m in (2, 3):
         _, meta = sf.gallery("example6", m=m)
@@ -215,8 +235,8 @@ def test_gallery_metadata_holds_the_parameters_and_the_expectations(name):
     defaults = GALLERY_DEFAULTS[name]
     assert {k: meta[k] for k in defaults} == defaults
     expectations = {
-        "eigenvalues", "weakly_einstein", "einstein", "forbidden_pattern", "cases", "f",
-        "volume", "chi", "p1", "C", "hitchin_ok",
+        "identity_ok", "eigenvalues", "weakly_einstein", "einstein", "pattern",
+        "forbidden_pattern", "cases", "f", "volume", "chi", "p1", "C", "hitchin_ok",
     }
     assert set(meta) <= {"name", *defaults, *expectations}
 

@@ -1,6 +1,7 @@
 """Integrand vectors, the deficit f, its per-case closed forms, and the
 Euler / Pontryagin / lower-bound round trip for constant-integrand inputs."""
 
+import json
 import math
 
 import numpy as np
@@ -14,7 +15,8 @@ from stframe.errors import (
     SymmetryViolation,
     ValidationError,
 )
-from stframe.topology import invariants_from_vectors, vectors_from_components
+from stframe.cli import main
+from stframe.topology import STVectors, invariants_from_vectors, vectors_from_components
 
 from conftest import (
     WEAKLY_EINSTEIN_GALLERY,
@@ -228,3 +230,46 @@ def test_invariants_reject_a_volume_that_overflows():
     with pytest.raises(ValidationError, match="'volume'"):
         invariants_from_vectors(v, R.scale, 1e100)
     assert math.isfinite(sf.homogeneous_invariants(R, rep.frame, 1.0).C)
+
+
+#: invariants at volume 10 of st_construction((1, 0.6, 0.3), (1, -1, -1),
+#: (0.3, -0.5, 0.2)), worked by hand from a' = (1, 0.6, 0.3),
+#: a'' = (1, -0.6, -0.3) and b = (0.3, -0.5, 0.2)
+P1_INVARIANTS = {
+    "chi_density": 0.0235571751968435,  # (<a',a''> + |b|^2) / 4 pi^2 = 0.93 / 4 pi^2
+    "p1_density": 0.0303963550927013,   # <a' + a'', b> / 2 pi^2 = 0.6 / 2 pi^2
+    "f": -0.45,                         # |a|^2 - |a'|^2 = 1 - 1.45
+    "chi": 0.235571751968435,
+    "p1": 0.303963550927013,
+    "C": -0.227972663195260,            # f * 10 / 2 pi^2
+    "bound_plus_ok": True,
+    "bound_minus_ok": True,
+    "hitchin_ok": True,
+}
+
+
+def test_invariants_with_nonzero_p1_match_hand_values(capsys, tmp_path):
+    R = st_construction((1, 0.6, 0.3), (1, -1, -1), (0.3, -0.5, 0.2))
+    rep = sf.find_st_basis(R)
+    inv = invariants_from_vectors(vectors_from_components(rep.components, R.scale), R.scale, 10.0)
+    rows = [[*(i + 1 for i in idx), float(R.comp[idx])]
+            for idx in np.ndindex(R.comp.shape) if R.comp[idx] != 0.0]
+    doc = tmp_path / "p1.json"
+    doc.write_text(json.dumps({"kind": "raw_curvature", "components": rows}))
+    code = main(["invariants", "--input", str(doc), "--volume", "10", "--json", "-"])
+    out = capsys.readouterr().out
+    assert code == 0
+    report = json.loads(out[out.index("{\n"):])
+    for answer in (vars(inv), report):
+        assert {k: answer[k] for k in P1_INVARIANTS} == pytest.approx(P1_INVARIANTS, rel=1e-12)
+
+
+def test_bound_flags_disagree_on_vectors_of_unequal_length():
+    # 2 chi +- p1 - C = (V / 2 pi^2) (|s/2 +- b|^2 + (|a'|^2 - |a''|^2) / 2) with
+    # s = a' + a'': +3 and -1 times V / 2 pi^2 here.  Every weakly Einstein
+    # tensor has |a'| = |a''|, so only hand-made vectors make the flags differ.
+    v = STVectors(np.zeros(3), np.array([2.0, 0.0, 0.0]), np.array([1.0, -1.0, 0.0]))
+    inv = invariants_from_vectors(v, 2.0, 10.0)
+    assert inv.p1 == pytest.approx(20 / (2 * math.pi ** 2), rel=1e-12)
+    assert inv.bound_plus_ok is True
+    assert inv.bound_minus_ok is False

@@ -17,6 +17,12 @@ in-process:
   Einstein (the exit-1 reports of ``frame`` and ``invariants``),
   forbidden-pattern space-form products and the tiny-scale slice, and on one
   document per seed scaled below the supported range (exit code 2);
+- ``check``, ``identity``, ``frame`` and ``invariants`` with ``--json -`` on
+  a fixed document of each kind: Lie groups (one failing the Jacobi
+  identity), surface and space-form products (one missing its field),
+  constant curvature, raw components closed under the symmetries, gallery
+  entries with parameters and a volume, an unknown kind and a document
+  nested past the parser's recursion limit;
 - ``gallery --all --json -`` and the commands of acceptance criterion 12;
 - ``gallery --name ... --json -`` on the points ``--all`` lacks: zero and
   Einstein tensors, forbidden pattern 4 and parameters an entry refuses
@@ -26,7 +32,8 @@ in-process:
   bad float and a flag with its value missing.
 
 Input documents are built from NEW_CHECKOUT's ``benchmarks/inputs.py``.
-Stdout, stderr and the exit code (or the ``SystemExit`` code) must agree.
+Stdout, stderr and the exit code (or the ``SystemExit`` code, or the type of
+an exception that escapes ``cli.main``) must agree.
 Prints how many outputs differ; exits 1 if any do.
 """
 
@@ -86,6 +93,34 @@ FIXED = [
     ["frame", "--gallery"],
 ]
 
+TENSOR_COMMANDS = ("check", "identity", "frame", "invariants")
+#: each fixed document by file name, as the text written there
+DOCUMENTS = {
+    name: json.dumps(doc) for name, doc in {
+        "example4.json": {"kind": "lie_group", "c": [
+            [1, 2, 2, 1.0], [1, 3, 3, -1.0], [1, 3, 4, -0.5], [1, 4, 3, 0.5], [1, 4, 4, -1.0],
+        ]},
+        "example-s2-1.json": {"kind": "lie_group", "c": [
+            [1, 2, 2, 2.0], [1, 3, 3, -1.0], [1, 4, 3, 2.0], [1, 4, 4, -1.0],
+        ]},
+        "not-jacobi.json": {"kind": "lie_group", "c": [[1, 2, 3, 1.0], [3, 4, 1, 1.0]]},
+        "surfaces.json": {"kind": "surface_product", "c1": 1.0, "c2": -1.0},
+        "surfaces-no-c2.json": {"kind": "surface_product", "c1": 1.0},
+        "space-form.json": {"kind": "space_form_product", "c": -2.0},
+        "sphere.json": {"kind": "constant_curvature", "c": 1.0, "volume": 8.0},
+        "closure.json": {"kind": "raw_curvature", "symmetry_closure": True, "components": [
+            [1, 2, 1, 2, -1.0], [3, 4, 3, 4, 1.0], [1, 3, 1, 3, 0.5],
+        ]},
+        "gallery-example4.json": {"kind": "gallery", "name": "example4", "a": 2, "b": 0.5,
+                                  "volume": 3.0},
+        "gallery-pm-c.json": {"kind": "gallery", "name": "example-pm-c", "c": 2,
+                              "volume": 10.0},
+        "gallery-example6.json": {"kind": "gallery", "name": "example6", "m": 3},
+        "unknown-kind.json": {"kind": "hyperbolic"},
+    }.items()
+}
+DOCUMENTS["deep.json"] = "[" * 5000
+
 
 def load_cli(checkout: Path, name: str):
     """stframe.cli of a checkout, imported as the package ``name``."""
@@ -106,6 +141,8 @@ def answer(cli, argv: list) -> tuple:
             code = cli.main(argv)
         except SystemExit as e:  # argparse's help, version and usage errors
             code = ("SystemExit", e.code)
+        except Exception as e:  # an exception that escapes is an answer too
+            code = ("raised", type(e).__name__)
     return out.getvalue(), err.getvalue(), code
 
 
@@ -123,6 +160,10 @@ def argvs(checkout: Path, workdir: Path):
     import inputs
 
     yield from FIXED
+    for name, text in DOCUMENTS.items():
+        (workdir / name).write_text(text)
+        for command in TENSOR_COMMANDS:
+            yield [command, "--input", str(workdir / name), "--json", "-"]
     for seed in SEEDS:
         for n, (case, source) in enumerate(inputs.report_cases(seed)):
             if source is None:
@@ -142,7 +183,7 @@ def argvs(checkout: Path, workdir: Path):
                    for n, case in enumerate(cases)]
         sources.append(document(OUT_OF_RANGE * cases[0].comp, workdir / f"screen{seed}-out.json"))
         for source in sources:
-            for command in ("check", "identity", "frame", "invariants"):
+            for command in TENSOR_COMMANDS:
                 yield [command, *source, "--json", "-"]
 
 
