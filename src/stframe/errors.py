@@ -66,8 +66,8 @@ class NotWeaklyEinstein(StframeError):
 
 
 class SearchFailed(StframeError):
-    """Neither closed path of the frame search reached the penalty tolerance;
-    diagnostics maps each path tried to its frame's penalty."""
+    """The one frame the search built for the Ricci pattern missed the penalty
+    tolerance; diagnostics maps that frame's path to its penalty."""
 
     def __init__(self, best_penalty, diagnostics):
         self.best_penalty = best_penalty

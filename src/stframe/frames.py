@@ -71,17 +71,16 @@ def _flat_positions(indices) -> np.ndarray:
     return np.ravel_multi_index(tuple(zip(*indices)), (4,) * 4)
 
 
-#: flat positions of the mixed components R_ijjk, and of the plane components
-#: R_ijij and R_klkl of the plane pairs
+#: flat positions of the mixed components R_ijjk, and of an ST frame's
+#: vectors, one row each: a' and a'', the planes of PLANE_PAIRS, then b
 _MIXED_FLAT = _flat_positions((i, j, j, k) for i, j, k in MIXED_TRIPLES)
-_PLANE_FLAT = (
+_VECTORS_FLAT = np.stack((
     _flat_positions((i, j, i, j) for (i, j), _ in PLANE_PAIRS),
     _flat_positions((k, l, k, l) for _, (k, l) in PLANE_PAIRS),
-)
-#: both rows of _PLANE_FLAT, and the 30 components the penalty reads: the
-#: mixed components, then the plane components
-_PLANES_FLAT = np.concatenate(_PLANE_FLAT)
-_PENALTY_FLAT = np.concatenate((_MIXED_FLAT, _PLANES_FLAT))
+    _flat_positions(((0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2))),
+))
+#: the 30 components the penalty reads: the mixed components, then a' and a''
+_PENALTY_FLAT = np.concatenate((_MIXED_FLAT, *_VECTORS_FLAT[:2]))
 
 
 # --- eigensolver -------------------------------------------------------------
@@ -220,8 +219,8 @@ def st_components(R: Curvature4, F: Frame4) -> np.ndarray:
     """Components of R in F, rotated once; raises NotSTFrame unless F is a
     generalized Singer-Thorpe frame of R."""
     comp = rotate(R, F).comp
-    if _penalty_of_components(comp, R.scale) > PENALTY_TOLERANCE:
-        raise NotSTFrame("frame penalty above tolerance")
+    if _penalty_of_components(comp, R.scale) >= PENALTY_TOLERANCE:
+        raise NotSTFrame("frame penalty not below tolerance")
     return comp
 
 
@@ -335,9 +334,9 @@ def _sign_cases(comp: np.ndarray, scale: float) -> SignCaseSet:
     tol = SIGN_TOLERANCE * scale
     lam = np.einsum("aija->ij", comp).diagonal().copy()
     # the tests on plain floats, which are cheaper than numpy scalars
-    planes = comp.reshape(-1)[_PLANES_FLAT].tolist()
+    a_prime, a_dprime = comp.reshape(-1)[_VECTORS_FLAT[:2]].tolist()
     epsilons_per_pair = []
-    for ((i, j), (k, l)), a, b in zip(PLANE_PAIRS, planes[:3], planes[3:]):
+    for ((i, j), (k, l)), a, b in zip(PLANE_PAIRS, a_prime, a_dprime):
         signs = [e for e in (1, -1) if abs(a - e * b) <= tol]
         if not signs:
             raise NotSTFrame(
@@ -486,7 +485,7 @@ def _jacobian(comp: np.ndarray, scale: float) -> np.ndarray:
     lc = _SO4_ON_PAIRS @ comp.reshape(16, 16)
     d = (lc + lc.transpose(0, 2, 1)).reshape(6, 256) / scale
     flat = comp.reshape(-1) / scale
-    first, second = _PLANE_FLAT
+    first, second = _VECTORS_FLAT[:2]
     planes = 2 * (flat[first] * d[:, first] - flat[second] * d[:, second])
     return np.hstack((d[:, _MIXED_FLAT], planes)).T
 

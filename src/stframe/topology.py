@@ -13,7 +13,7 @@ import numpy as np
 from .errors import (
     CaseRelationViolated, OrientationReversed, SymmetryViolation, ValidationError,
 )
-from .frames import SIGN_CASES, SIGN_TOLERANCE, _deficit, _flat_positions, st_components
+from .frames import SIGN_CASES, SIGN_TOLERANCE, _VECTORS_FLAT, _deficit, st_components
 from .tensor import Curvature4, Frame4
 
 
@@ -55,14 +55,6 @@ def st_vectors(R: Curvature4, F: Frame4) -> STVectors:
     if F.orientation < 0:
         raise OrientationReversed("b is only defined in a det +1 frame")
     return vectors_from_components(st_components(R, F), R.scale)
-
-
-#: flat positions of the components of a', a'' and b, one row each
-_VECTORS_FLAT = _flat_positions((
-    (0, 1, 0, 1), (0, 2, 0, 2), (0, 3, 0, 3),
-    (2, 3, 2, 3), (1, 3, 1, 3), (1, 2, 1, 2),
-    (0, 1, 2, 3), (0, 2, 3, 1), (0, 3, 1, 2),
-)).reshape(3, 3)
 
 
 def vectors_from_components(c: np.ndarray, scale: float) -> STVectors:

@@ -452,6 +452,27 @@ def test_usage_errors_exit_two(capsys, tmp_path):
     assert code == 2 and str(doc) in err and "lies outside" in err
 
 
+def test_a_tolerance_past_its_bound_is_a_usage_error(capsys):
+    # --tol 0.5 once passed example-products (2, 1), which has no ST frame,
+    # as weakly Einstein, and --tol-mult 10 read its pattern III as I: every
+    # subcommand that takes either flag refuses a value past its bound, and
+    # answers at the bound
+    tensor = ("--gallery", "example-products", "--c1", "2", "--c2", "1")
+    inputs = {"fuzz": ("--count", "2"), "gallery": ("--name", *tensor[1:])}
+    not_weakly_einstein = {"check": 1, "frame": 1, "invariants": 1}
+    for flag, past, bound, takers in (("tol", "0.5", "0.001", 6), ("tol-mult", "0.5", "0.01", 4)):
+        commands = [c for c, (_, _, flags) in _SUBCOMMANDS.items() if flag in flags]
+        assert len(commands) == takers
+        for command in commands:
+            argv = (command, *inputs.get(command, tensor))
+            code, out, err = run(capsys, *argv, f"--{flag}", past, "--json", "-")
+            assert (code, out) == (2, "")
+            field = flag.replace("-", "_")
+            assert err == f"error: invalid field '{field}': must be at most {bound}\n"
+            code, out, err = run(capsys, *argv, f"--{flag}", bound, "--json", "-")
+            assert (code, err) == (not_weakly_einstein.get(command, 0), "")
+
+
 def test_overflowing_structure_constants_are_one_usage_error(capsys, tmp_path):
     doc = write_doc(tmp_path, "huge.json", {
         "kind": "lie_group", "c": [[1, 2, 2, 1e200], [1, 3, 3, -1e200]],

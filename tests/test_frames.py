@@ -17,14 +17,17 @@ from stframe.errors import (
     NotWeaklyEinstein,
     SearchFailed,
 )
+import stframe.frames
 from stframe.frames import (
     MIXED_TRIPLES,
     PENALTY_TOLERANCE,
     PLANE_PAIRS,
     SIGN_CASES,
     _residuals,
+    _sign_cases,
     st_components,
 )
+from stframe.topology import vectors_from_components
 
 from conftest import (
     GENERATED_SHAPES,
@@ -306,6 +309,51 @@ def test_penalty_residuals_equal_their_scalar_reads(pattern_ii_tensor):
             a, b = comp[i, j, i, j] / s, comp[k, l, k, l] / s
             expected.append(a * a - b * b)
         assert np.array_equal(_residuals(comp, s), np.array(expected))
+
+
+def test_vectors_penalty_and_sign_test_read_the_same_components():
+    # a distinct value at every position (b1 + b2 + b3 = 0 kept): the vectors
+    # are read from the 1-based positions of the ST construction, and the
+    # penalty's plane-pair residuals and the sign test read the same planes
+    s = 256.0
+    comp = np.arange(1.0, s + 1).reshape(4, 4, 4, 4)
+    b_at = [tuple(i - 1 for i in idx) for idx in ST_B_INDICES]
+    comp[b_at[2]] = -comp[b_at[0]] - comp[b_at[1]]
+    a_prime = [comp[i - 1, j - 1, i - 1, j - 1] for i, j in ST_A_PRIME_PLANES]
+    a_dprime = [comp[k - 1, l - 1, k - 1, l - 1] for k, l in ST_A_DPRIME_PLANES]
+    v = vectors_from_components(comp, s)
+    assert v.a_prime.tolist() == a_prime
+    assert v.a_dprime.tolist() == a_dprime
+    assert v.b.tolist() == [comp[idx] for idx in b_at]
+    planes = [(a / s) * (a / s) - (b / s) * (b / s) for a, b in zip(a_prime, a_dprime)]
+    assert _residuals(comp, s)[24:].tolist() == planes
+    # one plane component alone fails the sign test at its own pair only,
+    # and moves that pair's penalty residual only: +1 for a', -1 for a''
+    for n, ((i, j), (k, l)) in enumerate(zip(ST_A_PRIME_PLANES, ST_A_DPRIME_PLANES)):
+        for idx, residual in (((i, j, i, j), 1.0), ((k, l, k, l), -1.0)):
+            comp = np.zeros((4, 4, 4, 4))
+            comp[tuple(x - 1 for x in idx)] = 1.0
+            expected = [0.0, 0.0, 0.0]
+            expected[n] = residual
+            assert _residuals(comp, 1.0)[24:].tolist() == expected
+            with pytest.raises(NotSTFrame, match=rf"plane pair \({i}, {j}\)/\({k}, {l}\)"):
+                _sign_cases(comp, 1.0)
+
+
+def test_a_penalty_at_the_tolerance_is_refused_by_every_reader(monkeypatch):
+    # a frame is accepted only below PENALTY_TOLERANCE: at it, each reader of
+    # the frame refuses as the search does
+    R = sf.surface_product(1.0, -1.0)
+    F = sf.find_st_basis(R).frame
+    monkeypatch.setattr(
+        stframe.frames, "_penalty_of_components", lambda comp, scale: PENALTY_TOLERANCE
+    )
+    for read in (st_components, sf.classify_sign_cases, sf.st_vectors):
+        with pytest.raises(NotSTFrame):
+            read(R, F)
+    with pytest.raises(SearchFailed) as exc:
+        sf.find_st_basis(R)
+    assert exc.value.best_penalty == PENALTY_TOLERANCE
 
 
 # --- trigonometric interpolation ---------------------------------------------
@@ -715,6 +763,45 @@ def test_generic_fallback_finds_frame_of_feasible_tensor():
             G, _, again = sf.generic_st_fallback(R, n_starts=5, seed=k)
             assert np.array_equal(F.matrix, G.matrix)
             assert again == per_start
+
+
+def sign_case_classes(cases) -> set:
+    """The classes {i}, {ii, iii, iv}, {v, vi, vii} and {viii} of cases, as
+    their numbers of -1 signs; a frame's row order moves a case inside its
+    class only."""
+    return {SIGN_CASES[c].signs.count(-1) for c in cases}
+
+
+def test_generic_fallback_is_a_second_route_to_every_frame_free_output():
+    # the fallback reads neither the Ricci pattern nor the closed form: on
+    # five rotated, scaled draws of each generated shape, which cover all
+    # five patterns, its frame gives the classes of the sign cases that
+    # find_st_basis gives, and f and the chi and p1 densities within
+    # 256 eps s^2 of find_st_basis's and of the frame-free values (2,360
+    # such draws measured at most 98 eps s^2).  Five starts stalled in a
+    # local minimum on 17 of 1,600 draws; each was answered within 9 starts
+    rng = np.random.default_rng(14)
+    patterns = set()
+    for count, shapes in GENERATED_SHAPES.items():
+        signs = [e for e in itertools.product((1, -1), repeat=3) if e.count(-1) == count]
+        for pattern, equal, flat, _ in shapes:
+            for _ in range(5):
+                eps = signs[rng.integers(len(signs))]
+                a, b = draw_st_shape(rng, eps, equal, flat)
+                s = 10 ** rng.uniform(-3, 3)
+                R = sf.rotate(st_construction(s * a, eps, s * b), sf.random_frame(rng))
+                rep = sf.find_st_basis(R)
+                patterns.add(rep.eigen.pattern.tag)
+                F, best, _ = sf.generic_st_fallback(R, n_starts=20)
+                assert best < PENALTY_TOLERANCE
+                assert sign_case_classes(sf.classify_sign_cases(R, F).cases) == \
+                    sign_case_classes(rep.sign_cases.cases)
+                v, w = sf.st_vectors(R, F), vectors_from_components(rep.components, R.scale)
+                got = (sf.f_value(v), *sf.densities(v))
+                tol = 256 * np.finfo(float).eps * R.scale ** 2
+                assert got == pytest.approx((sf.f_value(w), *sf.densities(w)), rel=0, abs=tol)
+                assert got == pytest.approx(frame_free_invariants(R.comp), rel=0, abs=tol)
+    assert patterns == {"I", "II", "III", "IV", "V"}
 
 
 def test_search_failure_carries_diagnostics():

@@ -24,6 +24,9 @@ in-process:
   entries with parameters and a volume, an unknown kind and a document
   nested past the parser's recursion limit;
 - ``gallery --all --json -`` and the commands of acceptance criterion 12;
+- ``check``, ``identity``, ``frame``, ``invariants`` and ``fuzz`` with
+  ``--tol 0.5``, and ``check``, ``frame`` and ``invariants`` with
+  ``--tol-mult 0.5``, past the CLI's tolerance bounds;
 - ``gallery --name ... --json -`` on the points ``--all`` lacks: zero and
   Einstein tensors, forbidden pattern 4 and parameters an entry refuses
   (exit code 2);
@@ -74,6 +77,8 @@ GALLERY_POINTS = [
     ["example6", "--m=2.5"],
     ["example-s2-1"],
 ]
+#: a tensor with no ST frame, which a --tol of 0.5 passed as weakly Einstein
+VACUOUS = ["--gallery", "example-products", "--c1", "2", "--c2", "1"]
 FIXED = [
     ["gallery", "--all", "--json", "-"],
     *(["gallery", "--name", *point, "--json", "-"] for point in GALLERY_POINTS),
@@ -91,6 +96,11 @@ FIXED = [
     ["check", "--gallery", "example4", "--no-such-flag"],
     ["check", "--gallery", "example4", "--tol", "x"],
     ["frame", "--gallery"],
+    *([command, *VACUOUS, "--tol", "0.5", "--json", "-"]
+      for command in ("check", "identity", "frame", "invariants")),
+    ["fuzz", "--count", "20", "--seed", "9", "--tol", "0.5", "--json", "-"],
+    *([command, *VACUOUS, "--tol-mult", "0.5", "--json", "-"]
+      for command in ("check", "frame", "invariants")),
 ]
 
 TENSOR_COMMANDS = ("check", "identity", "frame", "invariants")
