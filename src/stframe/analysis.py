@@ -8,18 +8,24 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _EYE, Curvature4, _lrho, _max_reduce, _rcheck, ricci
+from .tensor import _EYE, Curvature4, _dot, _lrho, _max_reduce, _rcheck, _vdot, ricci
 
 DEFAULT_TOL = 1e-9
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class ResidualReport:
     matrix: np.ndarray
     max_abs: float
     relative: float
     passes: bool
     tol: float
+
+    def __init__(self, matrix, max_abs, relative, passes, tol):
+        # one update of the instance dict, not the generated __init__'s
+        # object.__setattr__ per field; setting a field still raises
+        self.__dict__.update(matrix=matrix, max_abs=max_abs, relative=relative,
+                             passes=passes, tol=tol)
 
 
 def _report(matrix: np.ndarray, norm: float, tol: float) -> ResidualReport:
@@ -42,10 +48,10 @@ def _reduced_matrix(R: Curvature4) -> np.ndarray:
     rho = ricci(R)
     two_rho, tau = 2.0 * rho, _trace(rho)
     return (
-        np.dot(two_rho, rho)
+        _dot(two_rho, rho)
         + _lrho(R, two_rho)
         - tau * rho
-        - (float(np.vdot(rho, rho)) - 0.25 * tau ** 2) * _EYE
+        - (float(_vdot(rho, rho)) - 0.25 * tau ** 2) * _EYE
     )
 
 
@@ -55,14 +61,14 @@ def identity_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> ResidualReport
     which vanishes for every algebraic curvature tensor in dimension 4; it is
     the weakly-Einstein residual minus the reduced one.
     """
-    normR2 = float(np.vdot(R.comp, R.comp))
+    normR2 = float(_vdot(R.comp, R.comp))
     matrix = _rcheck(R) - 0.25 * normR2 * _EYE - _reduced_matrix(R)
     return _report(matrix, normR2, tol)
 
 
 def weakly_einstein_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> ResidualReport:
     """Residual of Rcheck_ij = |R|^2/4 delta_ij; passing means weakly Einstein."""
-    normR2 = float(np.vdot(R.comp, R.comp))
+    normR2 = float(_vdot(R.comp, R.comp))
     return _report(_rcheck(R) - 0.25 * normR2 * _EYE, normR2, tol)
 
 
@@ -70,7 +76,7 @@ def einstein_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> ResidualReport
     """Residual of rho = (tau/4) g; passing means Einstein."""
     rho = ricci(R)
     matrix = rho - 0.25 * _trace(rho) * _EYE
-    return _report(matrix, math.sqrt(np.vdot(R.comp, R.comp)), tol)
+    return _report(matrix, math.sqrt(_vdot(R.comp, R.comp)), tol)
 
 
 def reduced_identity_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> ResidualReport:
@@ -79,7 +85,7 @@ def reduced_identity_residual(R: Curvature4, tol: float = DEFAULT_TOL) -> Residu
     2 rho.rho + Lrho - tau rho - |rho|^2 g + (tau^2/4) g = 0.
     Passes exactly when weakly_einstein_residual passes.
     """
-    return _report(_reduced_matrix(R), float(np.vdot(R.comp, R.comp)), tol)
+    return _report(_reduced_matrix(R), float(_vdot(R.comp, R.comp)), tol)
 
 
 def forbidden_pattern(eigenvalues, tol: float) -> int | None:

@@ -16,9 +16,10 @@ relative to the tensor's scale max |R_ijkl|.
 generic_st_fallback, a Levenberg-Marquardt minimizer of the penalty's 27
 residuals over SO(4), is not part of the search; it checks infeasibility: on
 a tensor with no frame its best penalty stays far above the tolerance, while
-on one with a frame a few seeded starts find one.  trig_fit_extremum
-maximizes a trigonometric polynomial fitted exactly to a few samples at a
-root of one quartic.
+on one with a frame its default 20 seeded starts find one (5 starts missed
+about 1% of such tensors; its docstring gives the measurement).
+trig_fit_extremum maximizes a trigonometric polynomial fitted exactly to a
+few samples at a root of one quartic.
 """
 
 from __future__ import annotations
@@ -128,7 +129,7 @@ class MultiplicityPattern:
     canonical_order: tuple[int, int, int, int]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class RicciSpectrum:
     """Eigenvalues of the Ricci tensor _rho, their pattern and eigenframe,
     built on first read."""
@@ -137,6 +138,11 @@ class RicciSpectrum:
     pattern: MultiplicityPattern
     _vectors: np.ndarray = field(repr=False)
     _rho: np.ndarray = field(repr=False)
+
+    def __init__(self, eigenvalues, pattern, _vectors, _rho):
+        # as analysis.ResidualReport: the fields in one update of the instance dict
+        self.__dict__.update(eigenvalues=eigenvalues, pattern=pattern,
+                             _vectors=_vectors, _rho=_rho)
 
     @functools.cached_property
     def frame(self) -> Frame4:
@@ -506,8 +512,12 @@ def generic_st_fallback(
     the penalty by less than a relative 1e-6, when the penalty is below
     PENALTY_TOLERANCE, or after 100 iterations; the search stops at the first
     start below PENALTY_TOLERANCE.  Returns (best frame, best penalty,
-    per-start penalties); a best penalty well above PENALTY_TOLERANCE shows
-    that R has no generalized Singer-Thorpe frame."""
+    per-start penalties).  At the default n_starts=20, a best penalty well
+    above PENALTY_TOLERANCE shows that R has no generalized Singer-Thorpe
+    frame.  Fewer starts can stall in a local minimum on a tensor that has
+    one: with n_starts=5, 17 of 1,600 rotated, scaled tensors with a frame
+    (5 of each generated shape, all five Ricci patterns) ended at best
+    penalties of 0.17-2.0, and each was found within 9 starts."""
     if n_starts < 1:
         raise ValueError("n_starts must be at least 1")
     rng = np.random.default_rng(seed)

@@ -34,10 +34,17 @@ _max_reduce = np.maximum.reduce  # ndarray.max() without its Python wrapper, NaN
 
 
 # The LAPACK gufuncs that np.linalg.eigh and np.linalg.det call, without their
-# Python wrappers: the same bits (tests/test_frames.py pins them), a few
-# microseconds cheaper a call.  Where LAPACK fails, eigh_lo fills its outputs
-# with NaN (and numpy warns of an invalid value) instead of raising
-# LinAlgError; frames._checked_eigh turns the NaN into NoConvergence.
+# Python wrappers, and the BLAS-backed C functions that np.dot and np.vdot
+# dispatch to, without numpy's __array_function__ (NEP 18) dispatch layer:
+# the same bits, cheaper a call.
+# tests/test_frames.py::test_lapack_seam_equals_numpy_bit_for_bit pins all four.
+# Where LAPACK fails, eigh_lo fills its outputs with NaN (and numpy warns of
+# an invalid value) instead of raising LinAlgError; frames._checked_eigh turns
+# the NaN into NoConvergence.
+
+_dot = np.dot._implementation
+_vdot = np.vdot._implementation
+
 
 def _eigh(M) -> tuple[np.ndarray, np.ndarray]:
     """np.linalg.eigh(M): ascending eigenvalues and eigenvector columns."""
@@ -183,14 +190,14 @@ _RICCI = _frozen(0.5 * (
 
 
 def ricci(R: Curvature4) -> np.ndarray:
-    """Ricci tensor rho_ij = sum_a R_aija (symmetric 4x4); np.dot is @'s BLAS call, cheaper."""
-    return np.dot(_RICCI, R.comp.reshape(256)).reshape(DIM, DIM)
+    """Ricci tensor rho_ij = sum_a R_aija (symmetric 4x4); _dot is @'s BLAS call, cheaper."""
+    return _dot(_RICCI, R.comp.reshape(256)).reshape(DIM, DIM)
 
 
 def _rcheck(R: Curvature4) -> np.ndarray:
     """Rcheck_ij = sum_abc R_abci R_abcj = (M^T M)_ij, M = comp.reshape(64, 4); see ricci."""
     m = R.comp.reshape(-1, DIM)
-    return np.dot(m.T, m)
+    return _dot(m.T, m)
 
 
 def _lrho(R: Curvature4, two_rho: np.ndarray) -> np.ndarray:
@@ -204,7 +211,7 @@ def summary(R: Curvature4) -> ScalarSummary:
     """(|R|^2, |rho|^2, tau), with rho computed once."""
     rho = ricci(R)
     return ScalarSummary(
-        normR2=float(np.vdot(R.comp, R.comp)),
+        normR2=float(_vdot(R.comp, R.comp)),
         normRho2=float(np.sum(rho * rho)),
         tau=float(np.trace(rho)),
     )

@@ -120,6 +120,24 @@ def test_lapack_seam_equals_numpy_bit_for_bit():
     for _ in range(20):
         stack = np.linalg.qr(rng.normal(size=(2, 3, 3)))[0]  # as _closed_form_frame's
         assert sf.frames._det(stack).tobytes() == np.linalg.det(stack).tobytes()
+    # the contractions call the C functions np.dot and np.vdot dispatch to,
+    # on the shapes of ricci, _rcheck, _reduced_matrix and the norms
+    assert sf.tensor._dot is np.dot._implementation
+    assert sf.tensor._vdot is np.vdot._implementation
+    for _ in range(20):
+        comp = rng.normal(size=(4, 4, 4, 4))
+        m = comp.reshape(64, 4)
+        a, b = rng.normal(size=(2, 4, 4))
+        pairs = (
+            (sf.tensor._RICCI, comp.reshape(256)),
+            (rng.normal(size=(16, 256)), comp.reshape(256)),
+            (m.T, m),
+            (a, b),
+        )
+        for x, y in pairs:
+            assert sf.tensor._dot(x, y).tobytes() == np.dot(x, y).tobytes()
+        for x in (comp, a):
+            assert sf.tensor._vdot(x, x).tobytes() == np.vdot(x, x).tobytes()
 
 
 def test_checked_eigh_raises_when_lapack_returns_nan(monkeypatch):

@@ -1,5 +1,7 @@
 """Tensor container, symmetry validation, contractions and frame changes."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -234,3 +236,14 @@ def test_array_holding_classes_compare_by_identity():
         assert type(a) is cls
         assert (a == b) is False and (a != b) is True
         assert (a == a) is True
+        # frozen, and the instance holds its fields and nothing else
+        names = {f.name for f in dataclasses.fields(cls)}
+        for name in names:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(a, name, None)
+        assert set(vars(a)) == names
+    # RicciSpectrum.frame is a cached_property: read once, it is held too
+    spectrum = sf.ricci_spectrum(R)
+    assert spectrum.frame is spectrum.frame
+    names = {f.name for f in dataclasses.fields(sf.RicciSpectrum)}
+    assert set(vars(spectrum)) == names | {"frame"}
