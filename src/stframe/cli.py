@@ -320,7 +320,7 @@ def _invariants(R, st, volume) -> dict:
             "a": _floats(vec.a),
         },
         "f": inv.f,
-        "f_by_case": dict(st.sign_cases.f),
+        "f_by_case": dict.fromkeys(st.sign_cases.cases, st.sign_cases.f),
         "chi_density": inv.chi_density,
         "p1_density": inv.p1_density,
     }

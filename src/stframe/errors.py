@@ -66,13 +66,13 @@ class NotWeaklyEinstein(StframeError):
 
 
 class SearchFailed(StframeError):
-    """The one frame the search built for the Ricci pattern missed the penalty
-    tolerance; diagnostics maps that frame's path to its penalty."""
+    """The one frame the search built for the Ricci pattern, along
+    construction_path, missed the penalty tolerance with penalty."""
 
-    def __init__(self, best_penalty, diagnostics):
-        self.best_penalty = best_penalty
-        self.diagnostics = diagnostics
-        super().__init__(f"frame search failed: best penalty {best_penalty:.3e}")
+    def __init__(self, penalty, construction_path):
+        self.penalty = penalty
+        self.construction_path = construction_path
+        super().__init__(f"frame search failed: best penalty {penalty:.3e}")
 
 
 class NotSTFrame(StframeError):

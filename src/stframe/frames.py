@@ -186,14 +186,9 @@ def multiplicity_pattern(eigenvalues, threshold: float) -> MultiplicityPattern:
 def ricci_spectrum(R: Curvature4, tol_mult: float = DEFAULT_TOL_MULT) -> RicciSpectrum:
     """Ricci eigenvalues and eigenframe; eigenvalues within tol_mult * R.scale
     of each other count as equal.  The eigenframe is built only when read."""
-    return _spectrum(R, tol_mult * R.scale)
-
-
-def _spectrum(R: Curvature4, threshold: float) -> RicciSpectrum:
-    """ricci_spectrum with eigenvalues within threshold of each other equal."""
     rho = ricci(R)
     eig, vecs = _checked_eigh(rho)
-    return RicciSpectrum(eig, multiplicity_pattern(eig, threshold), vecs, rho)
+    return RicciSpectrum(eig, multiplicity_pattern(eig, tol_mult * R.scale), vecs, rho)
 
 
 # --- penalty -----------------------------------------------------------------
@@ -294,12 +289,13 @@ def trig_fit_extremum(samples) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SignCaseSet:
-    """Sign cases admitted by a generalized Singer-Thorpe frame."""
+    """Sign cases admitted by a generalized Singer-Thorpe frame, and f, the
+    one deficit -|rho_0|^2 / 4 that each admitted case's closed form gives."""
 
     cases: tuple[str, ...]
     eigenvalues: np.ndarray
     relation_residuals: dict
-    f: dict  # case -> the deficit f of the eigenvalues, one value for every case
+    f: float
 
 
 class SignCase(NamedTuple):
@@ -338,7 +334,7 @@ def _deficit(lam: np.ndarray) -> float:
 def _sign_cases(comp: np.ndarray, scale: float) -> SignCaseSet:
     """Sign cases read off the components of a tensor in an ST frame."""
     tol = SIGN_TOLERANCE * scale
-    lam = np.einsum("aija->ij", comp).diagonal().copy()
+    lam = np.einsum("aiia->i", comp)
     # the tests on plain floats, which are cheaper than numpy scalars
     a_prime, a_dprime = comp.reshape(-1)[_VECTORS_FLAT[:2]].tolist()
     epsilons_per_pair = []
@@ -365,7 +361,7 @@ def _sign_cases(comp: np.ndarray, scale: float) -> SignCaseSet:
         cases=tuple(residuals),
         eigenvalues=lam,
         relation_residuals=residuals,
-        f=dict.fromkeys(residuals, _deficit(lam)),
+        f=_deficit(lam),
     )
 
 
@@ -565,14 +561,13 @@ def find_st_basis(
 
     The construction path is "direct-eigenbasis" for pattern V and
     "closed-form" for every other pattern.  Raises NotWeaklyEinstein when the
-    precondition fails and SearchFailed, carrying the path's penalty, when
-    the frame's penalty is not below PENALTY_TOLERANCE.
+    precondition fails and SearchFailed, carrying the frame's penalty and
+    path, when that penalty is not below PENALTY_TOLERANCE.
     """
     wres = weakly_einstein_residual(R, tol)
     if not wres.passes:
         raise NotWeaklyEinstein(wres)
-    scale = R.scale
-    spectrum = _spectrum(R, tol_mult * scale)
+    spectrum = ricci_spectrum(R, tol_mult)
 
     # rho is diagonal in an ST frame, so when the Ricci eigenvalues are apart
     # (pattern V) the eigenframe is one; a repeated eigenvalue leaves the
@@ -582,9 +577,10 @@ def find_st_basis(
     else:
         frame, path = _closed_form_frame(R, spectrum), "closed-form"
     comp = rotate(R, frame).comp
+    scale = R.scale
     penalty = _penalty_of_components(comp, scale)
     if penalty >= PENALTY_TOLERANCE:
-        raise SearchFailed(penalty, {path: penalty})
+        raise SearchFailed(penalty, path)
     return STReport(
         frame=frame,
         penalty=penalty,

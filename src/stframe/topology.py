@@ -82,7 +82,8 @@ def f_by_case(eigenvalues, case: str) -> float:
     The eigenvalues must be ordered as in the classifying frame.  The case's
     relation is checked to SIGN_TOLERANCE * max(1, max|lambda|), which ignores
     the tensor's scale: Ricci-flat noise eigenvalues fail it (CaseRelationViolated)
-    above max|R| ~ 1e7.  A caller who holds R should read find_st_basis(R).sign_cases.f.
+    above max|R| ~ 1e7.  A caller who holds R should read
+    find_st_basis(R).sign_cases.f, one f for every case it admits at R's scale.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (4,):

@@ -15,7 +15,7 @@ import stframe as sf
 import stframe.cli
 from stframe.cli import GALLERY_SUITE, _SUBCOMMANDS, build_parser, main, render_json
 
-from conftest import st_construction
+from conftest import WEAKLY_EINSTEIN_GALLERY, st_construction
 
 
 def run(capsys, *argv):
@@ -113,6 +113,17 @@ def test_invariants_with_explicit_volume(capsys, tmp_path):
     assert code == 0
     assert rep["chi"] == pytest.approx(2.0, abs=1e-9)
     assert rep["hitchin_ok"] is True
+
+
+def test_invariants_f_by_case_maps_each_sign_case_to_the_one_deficit(capsys):
+    for name, params in WEAKLY_EINSTEIN_GALLERY:
+        flags = [x for k, v in params.items() for x in (f"--{k}", str(v))]
+        code, rep, _ = run_json(capsys, "invariants", "--gallery", name, *flags)
+        st = sf.find_st_basis(sf.gallery(name, **params)[0])
+        assert code == 0
+        assert list(rep["f_by_case"]) == rep["sign_cases"] == list(st.sign_cases.cases)
+        assert isinstance(st.sign_cases.f, float)
+        assert all(f == st.sign_cases.f for f in rep["f_by_case"].values())
 
 
 def test_fuzz_identity_statistics(capsys):

@@ -155,8 +155,7 @@ def test_sign_cases_f_on_rotated_ricci_flat_tensors_at_every_scale():
             rep = sf.find_st_basis(R)
             f, _, _ = frame_free_invariants(R.comp)
             assert rep.sign_cases.cases
-            for case in rep.sign_cases.cases:
-                assert rep.sign_cases.f[case] == pytest.approx(f, abs=1e-28 * R.scale ** 2)
+            assert rep.sign_cases.f == pytest.approx(f, abs=1e-28 * R.scale ** 2)
 
 
 def test_f_by_case_matches_f_value_on_gallery():

@@ -23,6 +23,21 @@ in-process:
   constant curvature, raw components closed under the symmetries, gallery
   entries with parameters and a volume, an unknown kind and a document
   nested past the parser's recursion limit;
+- ``check``, ``identity``, ``frame`` and ``invariants`` with ``--json -`` on
+  a tensor whose third plane pair misses an ST frame's by 1e-6: it passes
+  the weakly Einstein verdict, and ``frame`` and ``invariants`` refuse it
+  with exit code 3 (these outputs move once such an input is answered);
+  and on a tensor whose Ricci eigenvalues, within 1% of its scale, a
+  ``--tol-mult`` of 0.01 merges into pattern I, so that the frame built
+  for that pattern misses the penalty tolerance (``SearchFailed``, exit
+  code 3);
+- ``check`` and ``invariants`` on a gallery entry with no ``--json`` and
+  with ``--json PATH``, whose written bytes are compared too, and
+  ``gallery --list`` with and without ``--json -``;
+- the refusals of bad settings (exit code 2): ``fuzz --count 0``, ``fuzz
+  --seed -1``, ``--tol 0`` and ``--tol nan``, ``--input`` together with
+  ``--gallery``, a gallery parameter with ``--input``, and an input file
+  that does not exist;
 - ``gallery --all --json -`` and the commands of acceptance criterion 12;
 - ``check``, ``identity``, ``frame``, ``invariants`` and ``fuzz`` with
   ``--tol 0.5``, and ``check``, ``frame`` and ``invariants`` with
@@ -35,8 +50,9 @@ in-process:
   bad float and a flag with its value missing.
 
 Input documents are built from NEW_CHECKOUT's ``benchmarks/inputs.py``.
-Stdout, stderr and the exit code (or the ``SystemExit`` code, or the type of
-an exception that escapes ``cli.main``) must agree.
+Stdout, stderr, the exit code (or the ``SystemExit`` code, or the type of
+an exception that escapes ``cli.main``) and the bytes a ``--json PATH``
+writes must agree.
 Prints how many outputs differ; exits 1 if any do.
 """
 
@@ -79,6 +95,14 @@ GALLERY_POINTS = [
 ]
 #: a tensor with no ST frame, which a --tol of 0.5 passed as weakly Einstein
 VACUOUS = ["--gallery", "example-products", "--c1", "2", "--c2", "1"]
+#: the gallery entry the report writers and the tolerance refusals run on
+EXAMPLE4 = ["--gallery", "example4", "--a", "1", "--b", "0.5"]
+#: (a', eps, b) of a weakly Einstein tensor whose Ricci eigenvalues lie
+#: within 1% of its scale, and the seed of its rotation: a --tol-mult of
+#: 0.01 merges them into pattern I, and the frame built for that pattern
+#: misses the penalty tolerance (SearchFailed, exit code 3)
+MERGED_SPECTRUM = ((0.002, 0.6, -0.9), (-1, 1, 1), (0.3, -0.3, 0.0))
+MERGED_SEED = 2
 FIXED = [
     ["gallery", "--all", "--json", "-"],
     *(["gallery", "--name", *point, "--json", "-"] for point in GALLERY_POINTS),
@@ -101,6 +125,14 @@ FIXED = [
     ["fuzz", "--count", "20", "--seed", "9", "--tol", "0.5", "--json", "-"],
     *([command, *VACUOUS, "--tol-mult", "0.5", "--json", "-"]
       for command in ("check", "frame", "invariants")),
+    ["check", *EXAMPLE4],
+    ["invariants", *EXAMPLE4],
+    ["gallery", "--list"],
+    ["gallery", "--list", "--json", "-"],
+    ["fuzz", "--count", "0"],
+    ["fuzz", "--seed", "-1"],
+    ["check", *EXAMPLE4, "--tol", "0"],
+    ["check", *EXAMPLE4, "--tol", "nan"],
 ]
 
 TENSOR_COMMANDS = ("check", "identity", "frame", "invariants")
@@ -145,6 +177,8 @@ def load_cli(checkout: Path, name: str):
 
 
 def answer(cli, argv: list) -> tuple:
+    """Stdout, stderr, the exit code and, for ``--json PATH``, the bytes
+    written to PATH (None when it wrote none), which is then removed."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -153,7 +187,12 @@ def answer(cli, argv: list) -> tuple:
             code = ("SystemExit", e.code)
         except Exception as e:  # an exception that escapes is an answer too
             code = ("raised", type(e).__name__)
-    return out.getvalue(), err.getvalue(), code
+    written = None
+    target = argv[argv.index("--json") + 1] if "--json" in argv[:-1] else "-"
+    if target != "-" and Path(target).exists():
+        written = Path(target).read_bytes()
+        Path(target).unlink()
+    return out.getvalue(), err.getvalue(), code, written
 
 
 def document(comp: np.ndarray, path: Path) -> list:
@@ -164,8 +203,9 @@ def document(comp: np.ndarray, path: Path) -> list:
     return ["--input", str(path)]
 
 
-def argvs(checkout: Path, workdir: Path):
-    """Every command line to compare; the input documents go into workdir."""
+def argvs(checkout: Path, workdir: Path, sf):
+    """Every command line to compare, with sf NEW_CHECKOUT's stframe
+    package; the input documents go into workdir."""
     sys.path.insert(0, str(checkout / "benchmarks"))
     import inputs
 
@@ -174,6 +214,30 @@ def argvs(checkout: Path, workdir: Path):
         (workdir / name).write_text(text)
         for command in TENSOR_COMMANDS:
             yield [command, "--input", str(workdir / name), "--json", "-"]
+    # the tensor tests/test_frames.py's unmatched_plane_pair_tensor(1e-6)
+    # builds: a' = (1, 0.6, 1e-6), a'' = (1, 0.6, 0), b = (0.3, -0.5, 0.2)
+    comp = np.zeros((4,) * 4)
+    for idx, v in zip(inputs.B_INDICES, (0.3, -0.5, 0.2)):
+        inputs.set_orbit(comp, idx, v)
+    for (i, j), (k, l), a1, a2 in zip(inputs.A1_PLANES, inputs.A2_PLANES,
+                                      (1.0, 0.6, 1e-6), (1.0, 0.6, 0.0)):
+        inputs.set_orbit(comp, (i, j, i, j), a1)
+        inputs.set_orbit(comp, (k, l, k, l), a2)
+    frame = sf.random_frame(np.random.default_rng(0))
+    unmatched = document(sf.rotate(sf.make_curvature(comp), frame).comp,
+                         workdir / "unmatched.json")
+    for command in TENSOR_COMMANDS:
+        yield [command, *unmatched, "--json", "-"]
+    q = inputs.random_rotation(np.random.default_rng(MERGED_SEED))
+    merged = document(inputs.rotate(inputs.st_components(*MERGED_SPECTRUM), q),
+                      workdir / "merged-spectrum.json")
+    for command in ("check", "frame", "invariants"):
+        yield [command, *merged, "--tol-mult", "0.01", "--json", "-"]
+    for command in ("check", "invariants"):
+        yield [command, *EXAMPLE4, "--json", str(workdir / f"{command}-report.json")]
+    yield ["check", *unmatched, "--gallery", "example4"]
+    yield ["check", *unmatched, "--c", "1"]
+    yield ["check", "--input", str(workdir / "no-such-file.json")]
     for seed in SEEDS:
         for n, (case, source) in enumerate(inputs.report_cases(seed)):
             if source is None:
@@ -206,7 +270,7 @@ def main(argv=None) -> int:
     clis = load_cli(old, "stframe_old"), load_cli(new, "stframe_new")
     total = differ = 0
     with tempfile.TemporaryDirectory() as workdir:
-        for command in argvs(new, Path(workdir)):
+        for command in argvs(new, Path(workdir), sys.modules["stframe_new"]):
             first, second = (answer(cli, command) for cli in clis)
             total += 1
             if first != second:
