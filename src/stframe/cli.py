@@ -235,7 +235,7 @@ def _st_basis(R, args, **verdicts):
     """find_st_basis(R), or None once the not-weakly-Einstein report, with
     verdicts after weakly_einstein, is emitted."""
     try:
-        return find_st_basis(R, tol=args.tol, tol_mult=args.tol_mult)
+        return find_st_basis(R, tol=args.tol)
     except NotWeaklyEinstein as e:
         report = _header(args)
         report.update(
@@ -400,7 +400,7 @@ def _gallery_diff(name: str, params: dict, tol: float, tol_mult: float) -> dict:
     if meta.get("forbidden_pattern") not in (None, check["forbidden_pattern"]):
         mismatches.append("forbidden_pattern")
     if entry["weakly_einstein"]:
-        inv = _invariants(R, find_st_basis(R, tol=tol, tol_mult=tol_mult), meta.get("volume"))
+        inv = _invariants(R, find_st_basis(R, tol=tol), meta.get("volume"))
         entry.update(penalty=inv["penalty"], sign_cases=inv["sign_cases"], f=inv["f"])
         if meta.get("cases") and not set(meta["cases"]) <= set(inv["sign_cases"]):
             mismatches.append("cases")
@@ -459,10 +459,9 @@ _TENSOR_FLAGS = ("input", "gallery", *GALLERY_PARAMS, "json", "tol")
 _SUBCOMMANDS = {
     "identity": (_cmd_identity, "universal curvature identity residual", _TENSOR_FLAGS),
     "check": (_cmd_check, "Einstein / weakly-Einstein verdicts", (*_TENSOR_FLAGS, "tol-mult")),
-    "frame": (_cmd_frame, "generalized Singer-Thorpe frame search",
-              (*_TENSOR_FLAGS, "tol-mult")),
+    "frame": (_cmd_frame, "generalized Singer-Thorpe frame search", _TENSOR_FLAGS),
     "invariants": (_cmd_invariants, "integrand vectors and closed-form invariants",
-                   (*_TENSOR_FLAGS, "tol-mult", "volume")),
+                   (*_TENSOR_FLAGS, "volume")),
     "fuzz": (_cmd_fuzz, "random tensors through the identity residual",
              ("json", "tol", "seed", "count")),
     "gallery": (_cmd_gallery, "run the worked-example regression suite",

@@ -66,8 +66,8 @@ class NotWeaklyEinstein(StframeError):
 
 
 class SearchFailed(StframeError):
-    """The one frame the search built for the Ricci pattern, along
-    construction_path, missed the penalty tolerance with penalty."""
+    """No reading of the Ricci spectrum gave a frame below the penalty
+    tolerance; the smallest penalty was reached along construction_path."""
 
     def __init__(self, penalty, construction_path):
         self.penalty = penalty

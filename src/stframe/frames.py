@@ -1,18 +1,19 @@
 """Ricci eigenframes, multiplicity patterns, sign-case classification and the
 generalized Singer-Thorpe basis search.
 
-The search builds one frame, chosen by the Ricci multiplicity pattern.  In an
-ST frame every mixed component R_ijjk vanishes, so the Ricci tensor is
-diagonal there: when the four Ricci eigenvalues are apart (pattern V) the
-Ricci eigenbasis (LAPACK eigh) is the frame.  Otherwise the frame is read off
-the curvature operator on Lambda^2 = Lambda+ + Lambda-: the singular vectors
-of its Lambda+ x Lambda- block, made unique inside the cluster of equal
-singular values that the pattern names by eigh of the diagonal blocks, give
-the frame's self-dual and anti-self-dual bases, and so the frame.  The tensor
-is rotated into that frame once; the penalty, the sign cases and the ST
-vectors are all read from that one array.  A frame is accepted when its
-dimensionless penalty is below PENALTY_TOLERANCE; every other tolerance is
-relative to the tensor's scale max |R_ijkl|.
+The search builds the frame of a Ricci multiplicity pattern, read off the
+penalty: each reading of the spectrum in turn until a frame passes.  In an ST
+frame every mixed component R_ijjk vanishes, so the Ricci tensor is diagonal:
+when the four Ricci eigenvalues are apart (pattern V) the Ricci eigenbasis
+(LAPACK eigh) is the frame.  Otherwise the frame is read off the curvature
+operator on Lambda^2 = Lambda+ + Lambda-: the singular vectors of its
+Lambda+ x Lambda- block, made unique inside the cluster of equal singular
+values that the pattern names by eigh of the diagonal blocks, give the
+frame's self-dual and anti-self-dual bases, and so the frame.  The tensor is
+rotated into a frame once; the penalty, the sign cases and the ST vectors are
+all read from that one array.  A frame is accepted when its dimensionless
+penalty is below PENALTY_TOLERANCE; every other tolerance is relative to the
+tensor's scale max |R_ijkl|.
 generic_st_fallback, a Levenberg-Marquardt minimizer of the penalty's 27
 residuals over SO(4), is not part of the search; it checks infeasibility: on
 a tensor with no frame its best penalty stays far above the tolerance, while
@@ -418,9 +419,11 @@ _CLUSTERS = {
 }
 
 
-def _closed_form_frame(R: Curvature4, spectrum: RicciSpectrum) -> Frame4:
-    """Generalized Singer-Thorpe frame read off the blocks of the curvature
-    operator on Lambda+ + Lambda-.
+def _closed_form_frame(
+    R: Curvature4, spectrum: RicciSpectrum, pattern: MultiplicityPattern
+) -> Frame4:
+    """Generalized Singer-Thorpe frame of the Ricci reading pattern, read off
+    the blocks of the curvature operator on Lambda+ + Lambda-.
 
     In an oriented ST frame the blocks A (Lambda+ Lambda+), B (Lambda+
     Lambda-) and C (Lambda- Lambda-) are diagonal in the frame's omega(+-)
@@ -430,14 +433,14 @@ def _closed_form_frame(R: Curvature4, spectrum: RicciSpectrum) -> Frame4:
     cluster, one common eigenbasis of A - C (there C = -A) inside a nonzero
     one.  Then Omega_i = (omega'+_i + omega'-_i) / sqrt 2 = e0 ^ ei, e0 is
     the top eigenvector of sum Omega_i Omega_i^T and ei = -Omega_i e0.  The
-    rows are ordered as the spectrum's canonical eigenframe, with e3 and e4
+    rows are ordered as pattern's canonical eigenframe, with e3 and e4
     swapped when that makes the orientation -1.
     """
     M = _QUARTER_LAMBDA_PM @ R.comp.reshape(16, 16) @ _LAMBDA_PM.T
     A, B, C = M[:3, :3], M[:3, 3:], M[3:, 3:]
     up, sigma, vt = np.linalg.svd(B)
     um = vt.T
-    cluster, zero = _CLUSTERS[spectrum.pattern.tag]
+    cluster, zero = _CLUSTERS[pattern.tag]
     if cluster is None:  # the closer of the two adjacent pairs
         s0, s1, s2 = sigma.tolist()
         cluster = (0, 1) if s0 - s1 < s1 - s2 else (1, 2)
@@ -463,7 +466,7 @@ def _closed_form_frame(R: Curvature4, spectrum: RicciSpectrum) -> Frame4:
     # the order of pattern II's two equal-eigenvalue rows follows the last
     # bits of diag, so these einsums are not rewritten as matmuls
     diag = np.einsum("ia,ab,ib->i", rows, spectrum._rho, rows)
-    rows = rows[np.argsort(-diag, kind="stable")[list(spectrum.pattern.canonical_order)]]
+    rows = rows[np.argsort(-diag, kind="stable")[list(pattern.canonical_order)]]
     if _det(rows) < 0:
         # swapping e3 and e4 permutes the penalty's terms: an ST frame stays one
         rows = rows[[0, 1, 3, 2]]
@@ -552,35 +555,41 @@ def generic_st_fallback(
 
 # --- main entry --------------------------------------------------------------
 
-def find_st_basis(
-    R: Curvature4,
-    tol: float = DEFAULT_TOL,
-    tol_mult: float = DEFAULT_TOL_MULT,
-) -> STReport:
+def find_st_basis(R: Curvature4, tol: float = DEFAULT_TOL) -> STReport:
     """Find an oriented generalized Singer-Thorpe frame of a weakly-Einstein tensor.
 
-    The construction path is "direct-eigenbasis" for pattern V and
-    "closed-form" for every other pattern.  Raises NotWeaklyEinstein when the
-    precondition fails and SearchFailed, carrying the frame's penalty and
-    path, when that penalty is not below PENALTY_TOLERANCE.
+    Tries the frame of the spectrum's reading at DEFAULT_TOL_MULT, then of
+    each reading that merges the k smallest Ricci gaps (k = 0..3), and
+    accepts the first below PENALTY_TOLERANCE; eigen.pattern names its
+    reading, whose path is "direct-eigenbasis" for pattern V and
+    "closed-form" otherwise.  Raises NotWeaklyEinstein when the precondition
+    fails and SearchFailed, with the smallest penalty and its path, when no
+    reading gives a frame.
     """
     wres = weakly_einstein_residual(R, tol)
     if not wres.passes:
         raise NotWeaklyEinstein(wres)
-    spectrum = ricci_spectrum(R, tol_mult)
-
+    spectrum = ricci_spectrum(R)
+    lam, scale, missed = spectrum.eigenvalues.tolist(), R.scale, []
+    gaps = [a - b for a, b in zip(lam, lam[1:])]
+    readings = (_PATTERNS[tuple(x <= g for x in gaps)] for g in (-math.inf, *sorted(gaps)))
     # rho is diagonal in an ST frame, so when the Ricci eigenvalues are apart
     # (pattern V) the eigenframe is one; a repeated eigenvalue leaves the
     # eigenframe free inside its eigenspace, and the closed form picks it
-    if spectrum.pattern.tag == "V":
-        frame, path = spectrum.frame, "direct-eigenbasis"
+    for pattern in dict.fromkeys((spectrum.pattern, *readings)):
+        if pattern.tag == "V":
+            frame, path = spectrum.frame, "direct-eigenbasis"
+        else:
+            frame, path = _closed_form_frame(R, spectrum, pattern), "closed-form"
+        comp = rotate(R, frame).comp
+        penalty = _penalty_of_components(comp, scale)
+        if penalty < PENALTY_TOLERANCE:
+            break
+        missed.append((penalty, path))
     else:
-        frame, path = _closed_form_frame(R, spectrum), "closed-form"
-    comp = rotate(R, frame).comp
-    scale = R.scale
-    penalty = _penalty_of_components(comp, scale)
-    if penalty >= PENALTY_TOLERANCE:
-        raise SearchFailed(penalty, path)
+        raise SearchFailed(*min(missed, key=lambda m: m[0]))
+    if missed:
+        spectrum = RicciSpectrum(spectrum.eigenvalues, pattern, spectrum._vectors, spectrum._rho)
     return STReport(
         frame=frame,
         penalty=penalty,

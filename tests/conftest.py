@@ -181,6 +181,22 @@ def st_construction(a_prime, eps, b) -> sf.Curvature4:
     return curvature_from_components(entries)
 
 
+def fubini_study() -> sf.Curvature4:
+    """CP^2 with the Fubini-Study metric of holomorphic sectional curvature 4:
+    R_ijkl = d_jk d_il - d_ik d_jl + J_kj J_li - J_ki J_lj + 2 J_ij J_lk, with J
+    the complex structure J e1 = e2, J e3 = e4 (Kobayashi & Nomizu II, ch. IX).
+    Its sectional curvature is 4 on complex lines and 1 on totally real
+    planes, and the volume of CP^2 is pi^2 / 2."""
+    d, J = np.eye(4), np.zeros((4, 4))
+    J[1, 0] = J[3, 2] = 1.0
+    J[0, 1] = J[2, 3] = -1.0
+    return sf.make_curvature(
+        np.einsum("jk,il->ijkl", d, d) - np.einsum("ik,jl->ijkl", d, d)
+        + np.einsum("kj,li->ijkl", J, J) - np.einsum("ki,lj->ijkl", J, J)
+        + 2 * np.einsum("ij,lk->ijkl", J, J)
+    )
+
+
 #: per count of -1 entries in eps: the patterns its shapes take, each with
 #: the number of -1 positions whose |a'_k| are set equal (none, two or three),
 #: whether a'_1 + a'_2 + a'_3 = 0 (Ricci-flat, for eps = (1, 1, 1)) and the

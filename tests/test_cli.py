@@ -227,7 +227,9 @@ REMOVED_FLAGS = [
     ("check", "--volume"),
     ("check", "--seed"),
     ("frame", "--volume"),
+    ("frame", "--tol-mult"),  # the frame search reads its pattern off the penalty
     ("frame", "--seed"),
+    ("invariants", "--tol-mult"),
     ("invariants", "--seed"),
     ("fuzz", "--tol-mult"),
     ("gallery", "--input"),
@@ -357,8 +359,8 @@ def test_reports_echo_the_settings_their_command_takes(capsys):
     for command, settings, s2_1_code in (
         ("identity", ["tol"], 0),
         ("check", ["tol", "tol_mult"], 1),
-        ("frame", ["tol", "tol_mult"], 1),
-        ("invariants", ["tol", "tol_mult"], 1),
+        ("frame", ["tol"], 1),
+        ("invariants", ["tol"], 1),
     ):
         for name, expected_code in (("example4", 0), ("example-s2-1", s2_1_code)):
             code, rep, _ = run_json(capsys, command, "--gallery", name)
@@ -471,7 +473,7 @@ def test_a_tolerance_past_its_bound_is_a_usage_error(capsys):
     tensor = ("--gallery", "example-products", "--c1", "2", "--c2", "1")
     inputs = {"fuzz": ("--count", "2"), "gallery": ("--name", *tensor[1:])}
     not_weakly_einstein = {"check": 1, "frame": 1, "invariants": 1}
-    for flag, past, bound, takers in (("tol", "0.5", "0.001", 6), ("tol-mult", "0.5", "0.01", 4)):
+    for flag, past, bound, takers in (("tol", "0.5", "0.001", 6), ("tol-mult", "0.5", "0.01", 2)):
         commands = [c for c, (_, _, flags) in _SUBCOMMANDS.items() if flag in flags]
         assert len(commands) == takers
         for command in commands:
@@ -482,6 +484,24 @@ def test_a_tolerance_past_its_bound_is_a_usage_error(capsys):
             assert err == f"error: invalid field '{field}': must be at most {bound}\n"
             code, out, err = run(capsys, *argv, f"--{flag}", bound, "--json", "-")
             assert (code, err) == (not_weakly_einstein.get(command, 0), "")
+
+
+def test_a_near_split_spectrum_gets_its_frame(capsys, tmp_path):
+    # a' = (0.5, 0.3 + 1e-7, 0.3), eps = (1, -1, -1), b = 0, rotated: its
+    # Ricci eigenvalues (0.1, -0.5 + 1e-7, -0.5 - 1e-7, -1.1) are apart, while
+    # the default threshold reads the middle pair as equal (pattern II), and
+    # that reading's frame misses the penalty tolerance
+    R = sf.rotate(st_construction((0.5, 0.3 + 1e-7, 0.3), (1, -1, -1), (0.0, 0.0, 0.0)),
+                  sf.random_frame(np.random.default_rng(0)))
+    assert sf.ricci_spectrum(R).pattern.tag == "II"
+    rows = [[*(i + 1 for i in idx), float(R.comp[idx])] for idx in np.ndindex(R.comp.shape)]
+    path = write_doc(tmp_path, "near-split.json", {"kind": "raw_curvature", "components": rows})
+    code, rep, _ = run_json(capsys, "frame", "--input", path)
+    assert code == 0
+    assert rep["pattern"] == "V" and rep["construction_path"] == "direct-eigenbasis"
+    assert rep["sign_cases"] == ["vii"]
+    code, rep, _ = run_json(capsys, "invariants", "--input", path)
+    assert code == 0 and rep["sign_cases"] == ["vii"]
 
 
 def test_overflowing_structure_constants_are_one_usage_error(capsys, tmp_path):

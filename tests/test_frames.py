@@ -756,6 +756,42 @@ def test_find_st_basis_near_einstein_stays_closed_form():
         assert rep.penalty < PENALTY_TOLERANCE
 
 
+def _near_split_shape(rng, family, delta):
+    """(a', eps, b) at unit size of one of three near-degenerate families,
+    whose Ricci eigenvalues lie about delta apart: eps = (1, -1, -1) with
+    b = 0 and a' = (u, v + delta, v); eps = (-1, 1, 1) with a'_1 = delta / 2;
+    eps = (-1, -1, 1) with a'_1 = a'_2 + delta."""
+    a = rng.uniform(0.3, 1.0, 3) * rng.choice([-1.0, 1.0], 3)
+    b = rng.uniform(-1.0, 1.0, 3)
+    b[2] = -b[0] - b[1]
+    if family == 0:
+        a[1] = a[2] + delta
+        return a, (1, -1, -1), np.zeros(3)
+    if family == 1:
+        a[0] = delta / 2
+        return a, (-1, 1, 1), b
+    a[0] = a[1] + delta
+    return a, (-1, -1, 1), b
+
+
+@pytest.mark.parametrize("family", range(3))
+def test_find_st_basis_answers_near_split_spectra(family):
+    # the Ricci pattern the threshold reads can be one whose frame the tensor
+    # does not have (a gap of delta ~ 1e-8 read as apart, or one read as
+    # equal); the search then takes the reading whose frame passes
+    rng = np.random.default_rng([family, 32])
+    for _ in range(200):
+        delta = 10 ** rng.uniform(-9, -4)
+        a, eps, b = _near_split_shape(rng, family, delta)
+        s = 10 ** rng.uniform(-3, 3)
+        R = sf.rotate(st_construction(s * a, eps, s * b), sf.random_frame(rng))
+        rep = sf.find_st_basis(R)
+        assert rep.penalty < PENALTY_TOLERANCE
+        assert (rep.construction_path == "direct-eigenbasis") == (rep.eigen.pattern.tag == "V")
+        f = frame_free_invariants(R.comp)[0]
+        assert rep.sign_cases.f == pytest.approx(f, rel=0, abs=1e-12 * R.scale ** 2)
+
+
 def test_find_st_basis_result_frame_is_oriented():
     for name, params in WEAKLY_EINSTEIN_GALLERY[:4]:
         R, _ = sf.gallery(name, **params)
