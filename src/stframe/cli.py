@@ -43,10 +43,9 @@ EXIT_SEARCH = 3
 #: sums of squared components the residuals take stay normal floats
 SCALE_RANGE = (1e-140, 1e140)
 
-#: the largest --volume, --tol and --tol-mult: a looser tol passes tensors
-#: that fail a verdict (their relative residuals measure 0.017 and up), and a
-#: looser tol_mult merges Ricci eigenvalues more than 1% of the scale apart
-_UPPER_BOUNDS = {"volume": math.inf, "tol": 1e-3, "tol_mult": 1e-2}
+#: the largest --volume and --tol: a looser tol passes tensors that fail a
+#: verdict (their relative residuals measure 0.017 and up)
+_UPPER_BOUNDS = {"volume": math.inf, "tol": 1e-3}
 
 #: parameter grid used by `gallery --all`
 GALLERY_SUITE = (
@@ -158,11 +157,9 @@ def _gallery_params(args) -> dict:
 
 
 def _header(args) -> dict:
-    """A report's command and input, then whichever of tol and tol_mult the
-    subcommand takes."""
-    head = {"command": args.command, "input": _input_echo(args)}
-    head.update((k, getattr(args, k)) for k in ("tol", "tol_mult") if hasattr(args, k))
-    return head
+    """A report's command and input, then tol when the subcommand takes it."""
+    tol = {"tol": args.tol} if hasattr(args, "tol") else {}
+    return {"command": args.command, "input": _input_echo(args), **tol}
 
 
 def _load_tensor(args):
@@ -235,7 +232,7 @@ def _st_basis(R, args, **verdicts):
     """find_st_basis(R), or None once the not-weakly-Einstein report, with
     verdicts after weakly_einstein, is emitted."""
     try:
-        return find_st_basis(R, tol=args.tol)
+        return find_st_basis(R)
     except NotWeaklyEinstein as e:
         report = _header(args)
         report.update(
@@ -257,11 +254,12 @@ def _cmd_identity(args) -> int:
     return EXIT_OK if rep.passes else EXIT_VERDICT
 
 
-def _check(R, tol: float, tol_mult: float) -> dict:
-    """The check report after its header."""
+def _check(R, tol: float) -> dict:
+    """The check report after its header: verdicts at tol, and pattern and
+    forbidden_pattern at DEFAULT_TOL_MULT, the frame search's first reading."""
     erep = einstein_residual(R, tol)
     wrep = weakly_einstein_residual(R, tol)
-    spec = ricci_spectrum(R, tol_mult)
+    spec = ricci_spectrum(R)
     return {
         "verdicts": {
             "identity_ok": identity_residual(R, tol).passes,
@@ -270,7 +268,7 @@ def _check(R, tol: float, tol_mult: float) -> dict:
         },
         "eigenvalues": _floats(spec.eigenvalues),
         "pattern": spec.pattern.tag,
-        "forbidden_pattern": forbidden_pattern(spec.eigenvalues, tol_mult),
+        "forbidden_pattern": forbidden_pattern(spec.eigenvalues, DEFAULT_TOL_MULT),
         "einstein_residual": _residual_dict(erep),
         "weakly_einstein_residual": _residual_dict(wrep),
     }
@@ -279,14 +277,14 @@ def _check(R, tol: float, tol_mult: float) -> dict:
 def _cmd_check(args) -> int:
     R, _ = _load_tensor(args)
     report = _header(args)
-    report.update(_check(R, args.tol, args.tol_mult))
+    report.update(_check(R, args.tol))
     _emit(report, args)
     return EXIT_OK if report["verdicts"]["weakly_einstein"] else EXIT_VERDICT
 
 
 def _cmd_frame(args) -> int:
     R, _ = _load_tensor(args)
-    erep = einstein_residual(R, args.tol)
+    erep = einstein_residual(R)
     st = _st_basis(R, args, einstein=erep.passes)
     if st is None:
         return EXIT_VERDICT
@@ -377,11 +375,11 @@ def _cmd_fuzz(args) -> int:
     return EXIT_OK if ok else EXIT_VERDICT
 
 
-def _gallery_diff(name: str, params: dict, tol: float, tol_mult: float) -> dict:
+def _gallery_diff(name: str, params: dict) -> dict:
     """The check answer and, for a weakly Einstein tensor, the invariants
     answer on one gallery entry, diffed against its stored expectations."""
     R, meta = _checked_tensor(name, functools.partial(gallery, name, **params))
-    check = _check(R, tol, tol_mult)
+    check = _check(R, DEFAULT_TOL)
     entry = {
         "name": name,
         "params": dict(params),
@@ -400,7 +398,7 @@ def _gallery_diff(name: str, params: dict, tol: float, tol_mult: float) -> dict:
     if meta.get("forbidden_pattern") not in (None, check["forbidden_pattern"]):
         mismatches.append("forbidden_pattern")
     if entry["weakly_einstein"]:
-        inv = _invariants(R, find_st_basis(R, tol=tol), meta.get("volume"))
+        inv = _invariants(R, find_st_basis(R), meta.get("volume"))
         entry.update(penalty=inv["penalty"], sign_cases=inv["sign_cases"], f=inv["f"])
         if meta.get("cases") and not set(meta["cases"]) <= set(inv["sign_cases"]):
             mismatches.append("cases")
@@ -429,7 +427,7 @@ def _cmd_gallery(args) -> int:
         _emit(report, args)
         return EXIT_OK
     suite = GALLERY_SUITE if args.all else ((args.name, params),)
-    runs = [_gallery_diff(name, p, args.tol, args.tol_mult) for name, p in suite]
+    runs = [_gallery_diff(name, p) for name, p in suite]
     ok = all(r["ok"] for r in runs)
     report = {"command": "gallery", "runs": runs, "all_ok": ok}
     _emit(report, args)
@@ -446,26 +444,25 @@ _FLAGS = {
     "volume": dict(type=float),
     "json": dict(metavar="PATH", help="write machine report to PATH ('-' for stdout)"),
     "tol": dict(type=float, default=DEFAULT_TOL),
-    "tol-mult": dict(type=float, default=DEFAULT_TOL_MULT),
     "seed": dict(type=int, default=0),
     "count": dict(type=int, default=100),
     "list": dict(action="store_true", help="list gallery names"),
     "all": dict(action="store_true", help="run the whole suite"),
     "name": dict(help="run a single gallery entry"),
 }
-_TENSOR_FLAGS = ("input", "gallery", *GALLERY_PARAMS, "json", "tol")
+_TENSOR_FLAGS = ("input", "gallery", *GALLERY_PARAMS, "json")
 
 #: each subcommand's handler, help and the flags it reads
 _SUBCOMMANDS = {
-    "identity": (_cmd_identity, "universal curvature identity residual", _TENSOR_FLAGS),
-    "check": (_cmd_check, "Einstein / weakly-Einstein verdicts", (*_TENSOR_FLAGS, "tol-mult")),
+    "identity": (_cmd_identity, "universal curvature identity residual", (*_TENSOR_FLAGS, "tol")),
+    "check": (_cmd_check, "Einstein / weakly-Einstein verdicts", (*_TENSOR_FLAGS, "tol")),
     "frame": (_cmd_frame, "generalized Singer-Thorpe frame search", _TENSOR_FLAGS),
     "invariants": (_cmd_invariants, "integrand vectors and closed-form invariants",
                    (*_TENSOR_FLAGS, "volume")),
     "fuzz": (_cmd_fuzz, "random tensors through the identity residual",
              ("json", "tol", "seed", "count")),
     "gallery": (_cmd_gallery, "run the worked-example regression suite",
-                (*GALLERY_PARAMS, "json", "tol", "tol-mult", "list", "all", "name")),
+                (*GALLERY_PARAMS, "json", "list", "all", "name")),
 }
 
 

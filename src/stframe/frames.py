@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .analysis import DEFAULT_TOL, weakly_einstein_residual
+from .analysis import weakly_einstein_residual
 from .errors import (
     CaseRelationViolated,
     DegenerateFit,
@@ -555,18 +555,20 @@ def generic_st_fallback(
 
 # --- main entry --------------------------------------------------------------
 
-def find_st_basis(R: Curvature4, tol: float = DEFAULT_TOL) -> STReport:
+def find_st_basis(R: Curvature4) -> STReport:
     """Find an oriented generalized Singer-Thorpe frame of a weakly-Einstein tensor.
 
     Tries the frame of the spectrum's reading at DEFAULT_TOL_MULT, then of
     each reading that merges the k smallest Ricci gaps (k = 0..3), and
     accepts the first below PENALTY_TOLERANCE; eigen.pattern names its
     reading, whose path is "direct-eigenbasis" for pattern V and
-    "closed-form" otherwise.  Raises NotWeaklyEinstein when the precondition
-    fails and SearchFailed, with the smallest penalty and its path, when no
-    reading gives a frame.
+    "closed-form" otherwise.  Raises NotWeaklyEinstein when the tensor fails
+    the weakly Einstein verdict at DEFAULT_TOL (the search finds no frame
+    for the tensors it refuses either, so no looser tol is offered) and
+    SearchFailed, with the smallest penalty and its path, when no reading
+    gives a frame.
     """
-    wres = weakly_einstein_residual(R, tol)
+    wres = weakly_einstein_residual(R)
     if not wres.passes:
         raise NotWeaklyEinstein(wres)
     spectrum = ricci_spectrum(R)

@@ -225,16 +225,21 @@ REMOVED_FLAGS = [
     ("identity", "--tol-mult"),
     ("identity", "--seed"),
     ("check", "--volume"),
+    ("check", "--tol-mult"),  # pattern reads the frame search's first reading
     ("check", "--seed"),
     ("frame", "--volume"),
+    ("frame", "--tol"),  # the frame search's precondition is the default verdict
     ("frame", "--tol-mult"),  # the frame search reads its pattern off the penalty
     ("frame", "--seed"),
+    ("invariants", "--tol"),
     ("invariants", "--tol-mult"),
     ("invariants", "--seed"),
     ("fuzz", "--tol-mult"),
     ("gallery", "--input"),
     ("gallery", "--gallery"),
     ("gallery", "--volume"),
+    ("gallery", "--tol"),
+    ("gallery", "--tol-mult"),
     ("gallery", "--seed"),
 ]
 
@@ -348,7 +353,8 @@ def test_main_exits_as_the_top_level_parser_does(capsys, argv, code):
 def test_subcommand_parsers_parse_as_the_top_level_parser_does(command):
     commands = {}
     parser = build_parser(commands)
-    for argv in ([command], [command, "--tol", "1e-9", "--json", "-"]):
+    tol = ["--tol", "1e-9"] if "tol" in _SUBCOMMANDS[command][2] else []
+    for argv in ([command], [command, *tol, "--json", "-"]):
         args = parser.parse_args(argv)
         assert args.command == command
         assert commands[command].parse_args(argv[1:]) == args
@@ -358,9 +364,9 @@ def test_reports_echo_the_settings_their_command_takes(capsys):
     # example-s2-1 is not weakly Einstein: check, frame and invariants exit 1 on it
     for command, settings, s2_1_code in (
         ("identity", ["tol"], 0),
-        ("check", ["tol", "tol_mult"], 1),
-        ("frame", ["tol"], 1),
-        ("invariants", ["tol"], 1),
+        ("check", ["tol"], 1),
+        ("frame", [], 1),
+        ("invariants", [], 1),
     ):
         for name, expected_code in (("example4", 0), ("example-s2-1", s2_1_code)):
             code, rep, _ = run_json(capsys, command, "--gallery", name)
@@ -416,15 +422,13 @@ def test_usage_errors_exit_two(capsys, tmp_path):
         code, out, err = run(capsys, *command, "example6", "--m", "1e307", "--json", "-")
         assert code == 2 and "'m'" in err and out == ""
     # a tolerance that is not a positive finite number makes every verdict vacuous
-    for flag, value in (("--tol", "inf"), ("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"),
-                        ("--tol-mult", "-1"), ("--tol-mult", "inf")):
+    for value in ("inf", "nan", "-1", "0"):
         code, out, err = run(
-            capsys, "check", "--gallery", "example4", "--a", "1", "--b", "0.5", flag, value,
+            capsys, "check", "--gallery", "example4", "--a", "1", "--b", "0.5", "--tol", value,
             "--json", "-",
         )
-        field = flag[2:].replace("-", "_")
         assert code == 2 and out == ""
-        assert f"invalid field '{field}': must be a positive finite number" in err
+        assert "invalid field 'tol': must be a positive finite number" in err
     code, out, err = run(capsys, "fuzz", "--count", "5", "--tol", "-1")
     assert code == 2 and "'tol'" in err and out == ""
     doc = tmp_path / "genus.json"
@@ -467,23 +471,18 @@ def test_usage_errors_exit_two(capsys, tmp_path):
 
 def test_a_tolerance_past_its_bound_is_a_usage_error(capsys):
     # --tol 0.5 once passed example-products (2, 1), which has no ST frame,
-    # as weakly Einstein, and --tol-mult 10 read its pattern III as I: every
-    # subcommand that takes either flag refuses a value past its bound, and
-    # answers at the bound
+    # as weakly Einstein: every subcommand that takes --tol refuses a value
+    # past its bound, and answers at the bound
     tensor = ("--gallery", "example-products", "--c1", "2", "--c2", "1")
-    inputs = {"fuzz": ("--count", "2"), "gallery": ("--name", *tensor[1:])}
-    not_weakly_einstein = {"check": 1, "frame": 1, "invariants": 1}
-    for flag, past, bound, takers in (("tol", "0.5", "0.001", 6), ("tol-mult", "0.5", "0.01", 2)):
-        commands = [c for c, (_, _, flags) in _SUBCOMMANDS.items() if flag in flags]
-        assert len(commands) == takers
-        for command in commands:
-            argv = (command, *inputs.get(command, tensor))
-            code, out, err = run(capsys, *argv, f"--{flag}", past, "--json", "-")
-            assert (code, out) == (2, "")
-            field = flag.replace("-", "_")
-            assert err == f"error: invalid field '{field}': must be at most {bound}\n"
-            code, out, err = run(capsys, *argv, f"--{flag}", bound, "--json", "-")
-            assert (code, err) == (not_weakly_einstein.get(command, 0), "")
+    commands = [c for c, (_, _, flags) in _SUBCOMMANDS.items() if "tol" in flags]
+    assert commands == ["identity", "check", "fuzz"]
+    for command in commands:
+        argv = (command, *(("--count", "2") if command == "fuzz" else tensor))
+        code, out, err = run(capsys, *argv, "--tol", "0.5", "--json", "-")
+        assert (code, out) == (2, "")
+        assert err == "error: invalid field 'tol': must be at most 0.001\n"
+        code, out, err = run(capsys, *argv, "--tol", "0.001", "--json", "-")
+        assert (code, err) == (1 if command == "check" else 0, "")
 
 
 def test_a_near_split_spectrum_gets_its_frame(capsys, tmp_path):
@@ -523,15 +522,16 @@ def test_overflowing_structure_constants_are_one_usage_error(capsys, tmp_path):
 def test_consecutive_calls_share_no_state(capsys):
     code, rep, _ = run_json(
         capsys, "invariants", "--gallery", "example6", "--m", "2", "--volume", "5",
-        "--tol", "1e-8",
     )
     assert code == 0
     assert rep["input"] == {"kind": "gallery", "name": "example6", "m": 2.0}
-    assert rep["volume"] == 5.0 and rep["tol"] == 1e-8
+    assert rep["volume"] == 5.0
+    # the next call reads the entry's own volume, 16 pi^2 (m - 1), not 5
+    code, rep, _ = run_json(capsys, "invariants", "--gallery", "example6", "--m", "2")
+    assert code == 0 and rep["volume"] == pytest.approx(16 * math.pi ** 2)
     code, rep, _ = run_json(capsys, "invariants", "--gallery", "example4")
     assert code == 0
     assert rep["input"] == {"kind": "gallery", "name": "example4"}
-    assert rep["tol"] == 1e-9
     assert not {"volume", "chi", "p1", "C"} & set(rep)
     code, rep, _ = run_json(
         capsys, "check", "--gallery", "example-products", "--c1", "1", "--c2", "2"
@@ -696,7 +696,6 @@ def test_render_json_raises_what_json_dumps_raises(bad):
 
 # --- every document ends in an exit code of the contract ----------------------
 
-TENSOR_COMMANDS = ("identity", "check", "frame", "invariants")
 #: documents nested past the parser's recursion limit
 DEEP_DOCUMENTS = {"arrays": "[" * 5000, "objects": '{"a": ' * 3000}
 

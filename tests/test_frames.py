@@ -1,6 +1,7 @@
 """Eigenframes, multiplicity patterns, trig-polynomial maximization, the frame
 penalty, sign-case classification and the generalized Singer-Thorpe search."""
 
+import contextlib
 import itertools
 import math
 
@@ -16,6 +17,7 @@ from stframe.errors import (
     NotSTFrame,
     NotWeaklyEinstein,
     SearchFailed,
+    StframeError,
 )
 import stframe.frames
 from stframe.frames import (
@@ -884,12 +886,56 @@ def test_generic_fallback_is_a_second_route_to_every_frame_free_output():
     assert patterns == {"I", "II", "III", "IV", "V"}
 
 
-def test_search_failure_carries_penalty_and_path():
-    try:
-        sf.find_st_basis(sf.surface_product(1.0, 2.0), tol=1.0)
-    except SearchFailed as e:
-        assert e.penalty > 1e-6
-        assert e.construction_path == "closed-form"
-        assert str(e) == f"frame search failed: best penalty {e.penalty:.3e}"
-    else:  # pragma: no cover
-        pytest.fail("expected SearchFailed")
+def _pass_the_precondition(monkeypatch):
+    """Make find_st_basis take every tensor as weakly Einstein."""
+    passing = sf.weakly_einstein_residual(sf.constant_curvature(1.0))
+    monkeypatch.setattr(stframe.frames, "weakly_einstein_residual", lambda R: passing)
+
+
+def test_search_failure_carries_penalty_and_path(monkeypatch):
+    # S^2(1) x S^2(2) is not weakly Einstein and has no ST frame
+    _pass_the_precondition(monkeypatch)
+    with pytest.raises(SearchFailed) as exc:
+        sf.find_st_basis(sf.surface_product(1.0, 2.0))
+    e = exc.value
+    assert e.penalty > 1e-6
+    assert e.construction_path == "closed-form"
+    assert str(e) == f"frame search failed: best penalty {e.penalty:.3e}"
+
+
+def _perturbed_st_tensor(rng) -> sf.Curvature4:
+    """An exact ST tensor of a random eps and GENERATED_SHAPES shape, plus
+    delta = 10^U(-11, -5) times a projected Gaussian curvature tensor of
+    unit scale, scaled by 10^U(-3, 3) and rotated."""
+    eps = tuple(int(e) for e in rng.choice((1, -1), 3))
+    shapes = GENERATED_SHAPES[eps.count(-1)]
+    _, equal, flat, _ = shapes[rng.integers(len(shapes))]
+    a, b = draw_st_shape(rng, eps, equal, flat)
+    noise = sf.project_to_curvature(rng.normal(size=(4,) * 4)).comp
+    delta = 10 ** rng.uniform(-11, -5) / np.abs(noise).max()
+    comp = st_construction(a, eps, b).comp + delta * noise
+    return sf.rotate(sf.make_curvature(10 ** rng.uniform(-3, 3) * comp), sf.random_frame(rng))
+
+
+def test_the_search_finds_no_frame_the_verdict_refuses(monkeypatch):
+    # find_st_basis takes no tol: a looser verdict would only hand the search
+    # tensors it then refuses.  Of 400 perturbed ST tensors the default
+    # verdict refuses about half; run past the verdict, the search answers
+    # none of them (at DEFAULT_TOL = 1e-10 it would answer 42)
+    rng = np.random.default_rng(7)
+    refused = []
+    for _ in range(400):
+        R = _perturbed_st_tensor(rng)
+        try:
+            sf.find_st_basis(R)
+        except NotWeaklyEinstein:
+            refused.append(R)
+        except StframeError:
+            pass  # the verdict passes it and the search refuses it
+    assert len(refused) > 100
+    _pass_the_precondition(monkeypatch)
+    answered = []
+    for R in refused:
+        with contextlib.suppress(StframeError):
+            answered.append(sf.find_st_basis(R))
+    assert answered == []
