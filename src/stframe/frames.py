@@ -35,7 +35,6 @@ import numpy as np
 
 from .analysis import weakly_einstein_residual
 from .errors import (
-    CaseRelationViolated,
     DegenerateFit,
     NoConvergence,
     NotSTFrame,
@@ -51,8 +50,9 @@ DEFAULT_TOL_MULT = 1e-6
 #: a frame is a generalized Singer-Thorpe frame when its st_penalty is below this
 PENALTY_TOLERANCE = 1e-16
 
-#: relative tolerance (times the scale) of the sign tests R'_ijij = eps R'_klkl
-#: and of the sign cases' Ricci-eigenvalue relations
+#: relative tolerance (times the scale) under which the sign test
+#: R'_ijij = eps R'_klkl admits both signs of a plane pair, and of
+#: topology.f_by_case's check of a case's Ricci-eigenvalue relation
 SIGN_TOLERANCE = 1e-8
 
 #: ordered (i, j, k) index triples of the 24 mixed components R_ijjk (i != k)
@@ -290,12 +290,12 @@ def trig_fit_extremum(samples) -> float:
 
 @dataclass(frozen=True, eq=False)
 class SignCaseSet:
-    """Sign cases admitted by a generalized Singer-Thorpe frame, and f, the
-    one deficit -|rho_0|^2 / 4 that each admitted case's closed form gives."""
+    """Sign cases that label a generalized Singer-Thorpe frame, and f, the
+    one deficit -|rho_0|^2 / 4 of its Ricci diagonal, which every label
+    shares: each case's closed form is f under that case's relation."""
 
     cases: tuple[str, ...]
     eigenvalues: np.ndarray
-    relation_residuals: dict
     f: float
 
 
@@ -333,47 +333,33 @@ def _deficit(lam: np.ndarray) -> float:
 
 
 def _sign_cases(comp: np.ndarray, scale: float) -> SignCaseSet:
-    """Sign cases read off the components of a tensor in an ST frame."""
+    """Sign cases read off the components of a tensor in an accepted ST
+    frame: pair k admits eps when |a'_k - eps a''_k| <= max(tol, |a'_k + eps
+    a''_k|), tol = SIGN_TOLERANCE * scale, so both signs within tol, else the
+    closer one; a case is admitted when its three signs are, so one always is."""
     tol = SIGN_TOLERANCE * scale
     lam = np.einsum("aiia->i", comp)
     # the tests on plain floats, which are cheaper than numpy scalars
     a_prime, a_dprime = comp.reshape(-1)[_VECTORS_FLAT[:2]].tolist()
-    epsilons_per_pair = []
-    for ((i, j), (k, l)), a, b in zip(PLANE_PAIRS, a_prime, a_dprime):
-        signs = [e for e in (1, -1) if abs(a - e * b) <= tol]
-        if not signs:
-            raise NotSTFrame(
-                f"no admissible sign for plane pair {(i + 1, j + 1)}/{(k + 1, l + 1)}"
-            )
-        epsilons_per_pair.append(signs)
-    residuals = {}
-    lams = lam.tolist()
-    for case, (signs, relation) in SIGN_CASES.items():
-        if not all(e in admissible for e, admissible in zip(signs, epsilons_per_pair)):
-            continue
-        resid = relation(*lams)
-        if resid <= tol:
-            residuals[case] = resid
-    if not residuals:
-        raise CaseRelationViolated(
-            "no admissible sign case satisfies its eigenvalue relation"
-        )
-    return SignCaseSet(
-        cases=tuple(residuals),
-        eigenvalues=lam,
-        relation_residuals=residuals,
-        f=_deficit(lam),
+    admitted = [
+        [e for e in (1, -1) if abs(a - e * b) <= max(tol, abs(a + e * b))]
+        for a, b in zip(a_prime, a_dprime)
+    ]
+    cases = tuple(
+        case for case, (signs, _) in SIGN_CASES.items()
+        if all(e in ok for e, ok in zip(signs, admitted))
     )
+    return SignCaseSet(cases=cases, eigenvalues=lam, f=_deficit(lam))
 
 
 def classify_sign_cases(R: Curvature4, F: Frame4) -> SignCaseSet:
-    """Admissible sign patterns relating opposite-plane components in an ST frame.
+    """Sign cases relating opposite-plane components in an ST frame F of R.
 
-    For each plane pair, a sign eps is admissible when
-    |R'_ijij - eps R'_klkl| <= SIGN_TOLERANCE*scale; both signs are
-    admissible when both components vanish.  A case whose signs are
-    admissible but whose eigenvalue relation misses SIGN_TOLERANCE*scale is
-    dropped; CaseRelationViolated when no case is left.
+    NotSTFrame unless F's penalty is below PENALTY_TOLERANCE, the one
+    acceptance rule; the sign test then only labels F.  A plane pair admits
+    the sign eps when |R'_ijij - eps R'_klkl| is at most SIGN_TOLERANCE*scale
+    or |R'_ijij + eps R'_klkl|: both signs when both components vanish, else
+    the closer one.  The cases' eigenvalue relations are left to f_by_case.
     """
     return _sign_cases(st_components(R, F), R.scale)
 

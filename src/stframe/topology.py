@@ -80,10 +80,12 @@ def f_by_case(eigenvalues, case: str) -> float:
     case, rho_0 the traceless Ricci tensor.
 
     The eigenvalues must be ordered as in the classifying frame.  The case's
-    relation is checked to SIGN_TOLERANCE * max(1, max|lambda|), which ignores
-    the tensor's scale: Ricci-flat noise eigenvalues fail it (CaseRelationViolated)
-    above max|R| ~ 1e7.  A caller who holds R should read
-    find_st_basis(R).sign_cases.f, one f for every case it admits at R's scale.
+    relation, first order in them, is checked to SIGN_TOLERANCE *
+    max(1, max|lambda|) (CaseRelationViolated), which ignores the tensor's
+    scale: Ricci-flat noise eigenvalues fail it above max|R| ~ 1e7, and a
+    label that the sign test gives a near-zero plane pair can fail it too.  A
+    caller who holds R should read find_st_basis(R).sign_cases.f, the one f
+    that every label shares; the invariants report's f_by_case values are it.
     """
     lam = np.asarray(eigenvalues, dtype=float)
     if lam.shape != (4,):

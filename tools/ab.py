@@ -16,8 +16,10 @@ in a shuffled order:
 
 Prints, per pass, the median and quartiles of the round's time ratio
 NEW/OLD, and of OLD/OLD: two loads of one tree, whose spread is the noise a
-NEW/OLD median has to clear.  It is a second witness beside the paired runs
-of ``benchmarks/run.py``; it gates nothing.
+NEW/OLD median has to clear.  Beside each it prints a 95% bootstrap interval
+on the median (BOOTSTRAP_RESAMPLES resamples of the rounds, seeded).  It is a
+second witness beside the paired runs of ``benchmarks/run.py``; it gates
+nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from same_answers import document, load_cli  # noqa: E402
 
 SEEDS = (1, 2)
+BOOTSTRAP_RESAMPLES = 2000
 
 
 def report_pass(name: str, sources: list):
@@ -89,7 +92,12 @@ def passes(workload: str, names: list, new: Path, workdir: Path) -> dict:
 
 def summary(label: str, ratios: list) -> str:
     q1, median, q3 = statistics.quantiles(ratios, n=4)
-    return f"{label}  median {median:.3f}  quartiles {q1:.3f}-{q3:.3f}"
+    rng = random.Random(1)
+    medians = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
+                     for _ in range(BOOTSTRAP_RESAMPLES))
+    low, high = (medians[round(p * (BOOTSTRAP_RESAMPLES - 1))] for p in (0.025, 0.975))
+    return (f"{label}  median {median:.3f}  quartiles {q1:.3f}-{q3:.3f}"
+            f"  95% bootstrap {low:.3f}-{high:.3f}")
 
 
 def main(argv=None) -> int:

@@ -24,10 +24,12 @@ in-process:
   entries with parameters and a volume, an unknown kind and a document
   nested past the parser's recursion limit;
 - ``check``, ``identity``, ``frame`` and ``invariants`` with ``--json -`` on
-  a tensor whose third plane pair misses an ST frame's by 1e-6, and on an
-  exact ST tensor plus 1.2e-8 times ``random_curvature(0)``: each passes
-  the weakly Einstein verdict, and ``frame`` and ``invariants`` refuse it
-  with exit code 3 (these outputs move once such an input is answered);
+  a tensor whose third plane pair misses an ST frame's by 1e-6
+  (``unmatched.json``), and on an exact ST tensor plus 1.2e-8 times
+  ``random_curvature(0)`` (``near-verdict.json``): each passes the weakly
+  Einstein verdict; ``frame`` and ``invariants`` answer the first and refuse
+  the second with exit code 3, since no frame passes its penalty (those
+  outputs move once such an input is answered);
 - ``check``, ``frame`` and ``invariants`` with ``--json -`` on a tensor
   whose Ricci eigenvalues lie within 1% of its scale, and on one two of
   whose Ricci eigenvalues lie 2e-7 apart, which the default ``tol_mult``
