@@ -88,19 +88,16 @@ _PENALTY_FLAT = np.concatenate((_MIXED_FLAT, *_VECTORS_FLAT[:2]))
 # --- eigensolver -------------------------------------------------------------
 
 def _checked_eigh(M) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a 4x4 matrix: eigenvalues descending and eigh's eigenvector
-    columns.  max |M_ij| is the finiteness test (NaN and inf make it
-    non-finite) and the symmetry test's scale; NoConvergence on a failure."""
-    M = np.asarray(M, dtype=float)
+    """eigh of a symmetric 4x4 float array: eigenvalues descending (a reversed
+    view) and eigh's eigenvector columns.  max |M_ij| is the finiteness test
+    (NaN and inf make it non-finite); NoConvergence on a failure."""
     scale = _max_reduce(np.abs(M), axis=None) if M.shape == (4, 4) else math.nan
     if not scale < math.inf:
         raise NoConvergence("input must be a finite 4x4 matrix")
-    if _max_reduce(np.abs(M - M.T), axis=None) > 1e-12 * scale:
-        raise NoConvergence("input matrix is not symmetric")
     eig, vecs = _eigh(M)
     if math.isnan(eig[0]):
         raise NoConvergence("Eigenvalues did not converge")  # numpy's message
-    return eig[::-1].copy(), vecs
+    return eig[::-1], vecs
 
 
 def _eigenframe(vecs: np.ndarray) -> Frame4:
@@ -114,8 +111,11 @@ def _eigenframe(vecs: np.ndarray) -> Frame4:
 def sym_eigen(M: np.ndarray) -> tuple[np.ndarray, Frame4]:
     """Diagonalization of a symmetric 4x4 matrix by LAPACK's eigh: eigenvalues
     sorted descending and the frame whose rows are the matching orthonormal
-    eigenvectors, orientation-corrected to det +1."""
+    eigenvectors at det +1; NoConvergence as _checked_eigh or if |M - M^T| > 1e-12 max |M|."""
+    M = np.asarray(M, dtype=float)
     eig, vecs = _checked_eigh(M)
+    if _max_reduce(np.abs(M - M.T), axis=None) > 1e-12 * _max_reduce(np.abs(M), axis=None):
+        raise NoConvergence("input matrix is not symmetric")
     return eig, _eigenframe(vecs)
 
 
@@ -185,8 +185,8 @@ def multiplicity_pattern(eigenvalues, threshold: float) -> MultiplicityPattern:
 
 
 def ricci_spectrum(R: Curvature4, tol_mult: float = DEFAULT_TOL_MULT) -> RicciSpectrum:
-    """Ricci eigenvalues and eigenframe; eigenvalues within tol_mult * R.scale
-    of each other count as equal.  The eigenframe is built only when read."""
+    """Eigenvalues and eigenframe (built only when read) of rho, symmetric by
+    construction; those within tol_mult * R.scale of each other count as equal."""
     rho = ricci(R)
     eig, vecs = _checked_eigh(rho)
     return RicciSpectrum(eig, multiplicity_pattern(eig, tol_mult * R.scale), vecs, rho)

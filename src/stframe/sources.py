@@ -31,16 +31,16 @@ MAX_STRUCTURE_CONSTANT = 1e150
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebra4:
-    """Structure constants of a 4D metric Lie algebra: [e_i, e_j] = sum_k c_ijk e_k
-    for an orthonormal basis."""
+    """Structure constants [e_i, e_j] = sum_k c_ijk e_k of a 4D metric Lie algebra in
+    an orthonormal basis; max |c_ijk|, not finite on NaN or inf, is every test's scale."""
 
     c: np.ndarray
 
     def __post_init__(self):
         c = np.ascontiguousarray(self.c, dtype=float)
-        if c.shape != (DIM,) * 3 or not np.all(np.isfinite(c)):
+        scale = float(np.abs(c).max()) if c.shape == (DIM,) * 3 else math.nan
+        if not scale < math.inf:
             raise JacobiViolation("structure constants must be a finite 4x4x4 array")
-        scale = float(np.abs(c).max())
         if scale > MAX_STRUCTURE_CONSTANT:
             raise JacobiViolation(
                 f"structure constants too large: max |c_ijk| = {scale:.3e} exceeds "
@@ -295,17 +295,17 @@ _INDICES = frozenset((1, 2, 3, 4))
 
 
 def _require_rows(key: str, entries: list, shape: str, width: int) -> list[tuple]:
-    """The rows [index, ..., value] of a list of width-long rows, each index an
-    integer in 1..4 and the value a finite number, checked column by column."""
+    """The rows [index, ..., value] of a list of width-long rows: one check that
+    every index entry is an integer in 1..4, one that every value is finite."""
     if not (set(map(type, entries)) <= {list} and set(map(len, entries)) <= {width}):
         raise ValidationError(key, f"each row must be {shape}")
     if not entries:
         return []
     *indices, values = zip(*entries)
-    for column in indices:
-        # type() rather than isinstance(): JSON true and false are not indices
-        if not (set(map(type, column)) <= {int} and set(column) <= _INDICES):
-            raise ValidationError(key, "indices must be integers in 1..4")
+    # type() rather than isinstance(): JSON true and false are not indices
+    types = set().union(*(map(type, column) for column in indices))
+    if not (types <= {int} and set().union(*indices) <= _INDICES):
+        raise ValidationError(key, "indices must be integers in 1..4")
     if not (set(map(type, values)) <= {int, float} and _all_finite(values)):
         raise ValidationError(key, "value must be a finite number")
     return list(zip(*indices, map(float, values)))

@@ -117,18 +117,23 @@ def frame_free_invariants(comp: np.ndarray) -> tuple[float, float, float]:
 
 # --- exact oracle ----------------------------------------------------------------
 
-def exact_lie_group_residuals(c) -> tuple[np.ndarray, np.ndarray]:
-    """Exact weakly-Einstein and Einstein residual matrices
-    (Rcheck - |R|^2/4 g, rho - tau/4 g) of the left-invariant metric whose
-    orthonormal frame has the rational structure constants c: the Koszul
-    formula of lie_group_curvature run on fractions.Fraction object arrays."""
+def exact_lie_group_curvature(c) -> np.ndarray:
+    """Exact components R_ijkl of the left-invariant metric whose orthonormal
+    frame has the rational structure constants c: the Koszul formula of
+    lie_group_curvature run on fractions.Fraction object arrays."""
     c = np.array(c, dtype=object) + Fraction(0)
     gamma = (c - c.transpose(2, 0, 1) + c.transpose(1, 2, 0)) * Fraction(1, 2)
-    comp = (
+    return (
         np.einsum("jkm,iml->ijkl", gamma, gamma)
         - np.einsum("ikm,jml->ijkl", gamma, gamma)
         - np.einsum("ijm,mkl->ijkl", c, gamma)
     )
+
+
+def exact_lie_group_residuals(c) -> tuple[np.ndarray, np.ndarray]:
+    """Exact weakly-Einstein and Einstein residual matrices
+    (Rcheck - |R|^2/4 g, rho - tau/4 g) of exact_lie_group_curvature(c)."""
+    comp = exact_lie_group_curvature(c)
     m = comp.reshape(64, 4)
     norm_r2 = sum(x * x for x in comp.flat)
     rho = np.einsum("aija->ij", comp)

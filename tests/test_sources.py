@@ -51,6 +51,17 @@ def test_lie_algebra_checks_are_scale_free(s):
     sf.LieAlgebra4(np.zeros((4, 4, 4)))
 
 
+def test_lie_algebra_rejects_non_finite_or_misshapen_constants():
+    # max |c_ijk| is the one finiteness test: NaN and +-inf make it non-finite
+    for bad in (np.nan, np.inf, -np.inf):
+        c = example4_algebra(1.0, 0.5).c.copy()
+        c[0, 2, 3] = bad
+        with pytest.raises(JacobiViolation, match="must be a finite 4x4x4 array"):
+            sf.LieAlgebra4(c)
+    with pytest.raises(JacobiViolation, match="must be a finite 4x4x4 array"):
+        sf.LieAlgebra4(np.zeros((3, 4, 4)))
+
+
 def test_lie_algebra_rejects_constants_whose_products_overflow():
     c = example4_algebra(1.0, 0.5).c
     top = sf.sources.MAX_STRUCTURE_CONSTANT / np.abs(c).max()
@@ -310,6 +321,28 @@ def test_load_spec_rejects_bad_values():
         assert err.value.field == "symmetry_closure"
     with pytest.raises(ValidationError):
         sf.load_spec(json.dumps({"kind": "surface_product", "c1": 10 ** 400, "c2": 1.0}))
+
+
+@pytest.mark.parametrize(
+    "kind, key, row",
+    [("raw_curvature", "components", [1, 2, 1, 2, -1.0]), ("lie_group", "c", [1, 2, 2, 1.0])],
+    ids=("raw_curvature", "lie_group"),
+)
+def test_every_index_column_takes_only_integers_in_1_to_4(kind, key, row):
+    # one check covers the index entries of every column, beside a good row
+    for column in range(len(row) - 1):
+        for bad in (0, 5, 2.0, True, "1"):
+            bad_row = row.copy()
+            bad_row[column] = bad
+            with pytest.raises(ValidationError) as err:
+                sf.load_spec(json.dumps({"kind": kind, key: [row, bad_row]}))
+            assert (err.value.field, err.value.constraint) == (
+                key, "indices must be integers in 1..4"
+            )
+    for bad in ("1.0", True, None, 10 ** 400):
+        with pytest.raises(ValidationError) as err:
+            sf.load_spec(json.dumps({"kind": kind, key: [row, [*row[:-1], bad]]}))
+        assert (err.value.field, err.value.constraint) == (key, "value must be a finite number")
 
 
 def test_load_spec_refuses_keys_its_kind_does_not_read():

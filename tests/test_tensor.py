@@ -98,6 +98,21 @@ def test_ricci_matches_loop_oracle():
     assert np.abs(rho - rho.T).max() == 0.0
 
 
+def test_ricci_is_symmetric_bit_for_bit():
+    # rows (i, j) and (j, i) of the Ricci map are equal, so rho is symmetric
+    # bit for bit on every Curvature4, valid or not, at every scale:
+    # frames.ricci_spectrum runs no symmetry test on it
+    rows = sf.tensor._RICCI.reshape(4, 4, 256)
+    assert np.array_equal(rows, rows.transpose(1, 0, 2))
+    rng = np.random.default_rng(43)
+    for n in range(300):
+        R = sf.rotate(sf.random_curvature(n), sf.random_frame(rng))
+        rho = sf.ricci(sf.Curvature4(10.0 ** rng.uniform(-120, 120) * R.comp))
+        assert rho.tobytes() == rho.T.tobytes()
+        rho = sf.ricci(sf.Curvature4(rng.normal(size=(4, 4, 4, 4))))
+        assert rho.tobytes() == rho.T.tobytes()
+
+
 def test_summary_matches_loop_oracles():
     R = sf.random_curvature(7)
     s = sf.summary(R)
