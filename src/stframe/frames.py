@@ -398,18 +398,17 @@ _QUARTER_LAMBDA_PM = 0.25 * _LAMBDA_PM
 #: positions (descending) of the cluster of equal singular values of Lambda+ x
 #: Lambda-, and whether it is zero; pattern II's nonzero pair is read off the gaps
 _CLUSTERS = {
-    "I": ((0, 1, 2), True),
+    "I": ([0, 1, 2], True),
     "II": (None, False),
-    "III": ((1, 2), True),
-    "IV": ((0, 1, 2), False),
+    "III": ([1, 2], True),
+    "IV": ([0, 1, 2], False),
 }
 
 
-def _closed_form_frame(
-    R: Curvature4, spectrum: RicciSpectrum, pattern: MultiplicityPattern
-) -> Frame4:
+def _closed_form_frame(M, svd, rho, pattern: MultiplicityPattern) -> Frame4:
     """Generalized Singer-Thorpe frame of the Ricci reading pattern, read off
-    the blocks of the curvature operator on Lambda+ + Lambda-.
+    the blocks of the curvature operator M on Lambda+ + Lambda-, given
+    svd = np.linalg.svd(B) and the Ricci tensor rho; it edits copies of svd.
 
     In an oriented ST frame the blocks A (Lambda+ Lambda+), B (Lambda+
     Lambda-) and C (Lambda- Lambda-) are diagonal in the frame's omega(+-)
@@ -422,15 +421,12 @@ def _closed_form_frame(
     rows are ordered as pattern's canonical eigenframe, with e3 and e4
     swapped when that makes the orientation -1.
     """
-    M = _QUARTER_LAMBDA_PM @ R.comp.reshape(16, 16) @ _LAMBDA_PM.T
     A, B, C = M[:3, :3], M[:3, 3:], M[3:, 3:]
-    up, sigma, vt = np.linalg.svd(B)
-    um = vt.T
+    # U and V as the views (U, Vt.T) are laid out, so BLAS sums in one order
+    up, sigma, um = svd[0].copy(), svd[1], svd[2].copy().T
     cluster, zero = _CLUSTERS[pattern.tag]
     if cluster is None:  # the closer of the two adjacent pairs
-        s0, s1, s2 = sigma.tolist()
-        cluster = (0, 1) if s0 - s1 < s1 - s2 else (1, 2)
-    cluster = list(cluster)
+        cluster = [0, 1] if sigma[0] - sigma[1] < sigma[1] - sigma[2] else [1, 2]
     wp, wm = up[:, cluster], um[:, cluster]
     ap, cm = wp.T @ A @ wp, wm.T @ C @ wm
     if zero:
@@ -451,7 +447,7 @@ def _closed_form_frame(
     rows = np.concatenate((e0[None], -omega @ e0))
     # the order of pattern II's two equal-eigenvalue rows follows the last
     # bits of diag, so these einsums are not rewritten as matmuls
-    diag = np.einsum("ia,ab,ib->i", rows, spectrum._rho, rows)
+    diag = np.einsum("ia,ab,ib->i", rows, rho, rows)
     rows = rows[np.argsort(-diag, kind="stable")[list(pattern.canonical_order)]]
     if _det(rows) < 0:
         # swapping e3 and e4 permutes the penalty's terms: an ST frame stays one
@@ -544,21 +540,21 @@ def generic_st_fallback(
 def find_st_basis(R: Curvature4) -> STReport:
     """Find an oriented generalized Singer-Thorpe frame of a weakly-Einstein tensor.
 
-    Tries the frame of the spectrum's reading at DEFAULT_TOL_MULT, then of
-    each reading that merges the k smallest Ricci gaps (k = 0..3), and
-    accepts the first below PENALTY_TOLERANCE; eigen.pattern names its
-    reading, whose path is "direct-eigenbasis" for pattern V and
-    "closed-form" otherwise.  Raises NotWeaklyEinstein when the tensor fails
-    the weakly Einstein verdict at DEFAULT_TOL (the search finds no frame
-    for the tensors it refuses either, so no looser tol is offered) and
-    SearchFailed, with the smallest penalty and its path, when no reading
-    gives a frame.
+    Tries the frame of the spectrum's reading at DEFAULT_TOL_MULT, then of each
+    reading that merges the k smallest Ricci gaps (k = 0..3), and accepts the
+    first below PENALTY_TOLERANCE; eigen.pattern names its reading, whose path
+    is "direct-eigenbasis" for pattern V and "closed-form" otherwise; the
+    closed-form readings share one curvature operator M and SVD of its block B,
+    built at the first.  Raises NotWeaklyEinstein when the tensor fails the
+    weakly Einstein verdict at DEFAULT_TOL (the search finds no frame for the
+    tensors it refuses either, so no looser tol is offered) and SearchFailed,
+    with the smallest penalty and its path, when no reading gives a frame.
     """
     wres = weakly_einstein_residual(R)
     if not wres.passes:
         raise NotWeaklyEinstein(wres)
     spectrum = ricci_spectrum(R)
-    lam, scale, missed = spectrum.eigenvalues.tolist(), R.scale, []
+    lam, scale, missed, operator = spectrum.eigenvalues.tolist(), R.scale, [], None
     gaps = [a - b for a, b in zip(lam, lam[1:])]
     readings = (_PATTERNS[tuple(x <= g for x in gaps)] for g in (-math.inf, *sorted(gaps)))
     # rho is diagonal in an ST frame, so when the Ricci eigenvalues are apart
@@ -568,7 +564,10 @@ def find_st_basis(R: Curvature4) -> STReport:
         if pattern.tag == "V":
             frame, path = spectrum.frame, "direct-eigenbasis"
         else:
-            frame, path = _closed_form_frame(R, spectrum, pattern), "closed-form"
+            if operator is None:
+                M = _QUARTER_LAMBDA_PM @ R.comp.reshape(16, 16) @ _LAMBDA_PM.T
+                operator = M, np.linalg.svd(M[:3, 3:])
+            frame, path = _closed_form_frame(*operator, spectrum._rho, pattern), "closed-form"
         comp = rotate(R, frame).comp
         penalty = _penalty_of_components(comp, scale)
         if penalty < PENALTY_TOLERANCE:

@@ -24,15 +24,16 @@ from .tensor import (
 )
 
 
-#: largest accepted max |c_ijk|: below it the sums of products of structure
-#: constants that the Jacobi test and the curvature take stay finite
+#: bounds on a nonzero max |c_ijk|: within them the largest products of structure
+#: constants, which the Jacobi test and the curvature sum, neither overflow nor underflow
 MAX_STRUCTURE_CONSTANT = 1e150
+MIN_STRUCTURE_CONSTANT = 1e-150
 
 
 @dataclass(frozen=True, eq=False)
 class LieAlgebra4:
     """Structure constants [e_i, e_j] = sum_k c_ijk e_k of a 4D metric Lie algebra in
-    an orthonormal basis; max |c_ijk|, not finite on NaN or inf, is every test's scale."""
+    an orthonormal basis; max |c_ijk| is every test's scale: finite, and 0 or within the bounds."""
 
     c: np.ndarray
 
@@ -45,6 +46,11 @@ class LieAlgebra4:
             raise JacobiViolation(
                 f"structure constants too large: max |c_ijk| = {scale:.3e} exceeds "
                 f"{MAX_STRUCTURE_CONSTANT:g}, so their products overflow"
+            )
+        if 0 < scale < MIN_STRUCTURE_CONSTANT:
+            raise JacobiViolation(
+                f"structure constants too small: max |c_ijk| = {scale:.3e} is below "
+                f"{MIN_STRUCTURE_CONSTANT:g}, so their products underflow"
             )
         anti = np.abs(c + c.transpose(1, 0, 2)).max()
         if anti > 1e-10 * scale:

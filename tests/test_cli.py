@@ -519,6 +519,27 @@ def test_overflowing_structure_constants_are_one_usage_error(capsys, tmp_path):
         assert f"structure constants too large: max |c_ijk| = {size}" in err
 
 
+def test_underflowing_structure_constants_are_one_usage_error(capsys, tmp_path):
+    # below max |c_ijk| ~ 1.5e-154 every product in the curvature underflows
+    # to 0, and example4 at a = 1e-200 was answered as the flat tensor
+    doc = write_doc(tmp_path, "tiny.json", {
+        "kind": "lie_group", "c": [[1, 2, 2, 1e-200], [1, 3, 3, -1e-200]],
+    })
+    for argv in (
+        ("check", "--gallery", "example4", "--a", "1e-200"),
+        ("gallery", "--name", "example4", "--a=1e-200"),
+        ("check", "--input", doc),
+        ("frame", "--input", doc),
+        ("invariants", "--input", doc),
+    ):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy warning on the way
+            code, out, err = run(capsys, *argv, "--json", "-")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "structure constants too small: max |c_ijk| = 1.000e-200 is below 1e-150" in err
+
+
 def test_consecutive_calls_share_no_state(capsys):
     code, rep, _ = run_json(
         capsys, "invariants", "--gallery", "example6", "--m", "2", "--volume", "5",

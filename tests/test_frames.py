@@ -1045,3 +1045,30 @@ def test_the_search_refuses_a_perturbed_st_tensor_only_by_verdict_or_penalty():
             continue
         f = frame_free_invariants(R.comp)[0]
         assert rep.sign_cases.f == pytest.approx(f, rel=0, abs=1e-12 * R.scale ** 2)
+
+
+def test_the_search_builds_the_curvature_operator_once_per_answer(monkeypatch):
+    # every closed-form reading reads one M and one SVD of its block B, built
+    # at the first such reading: draw 4 is refused after three readings and
+    # draw 11 answered at its third; an answer the Ricci eigenbasis settles
+    # builds neither
+    svds, svd = [], np.linalg.svd
+
+    def counted(a):
+        svds.append(a)
+        return svd(a)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    rng = np.random.default_rng(7)
+    draws = [_perturbed_st_tensor(rng) for _ in range(12)]
+    with pytest.raises(SearchFailed):
+        sf.find_st_basis(draws[4])
+    assert len(svds) == 1
+    rep = sf.find_st_basis(draws[11])
+    assert (rep.construction_path, rep.eigen.pattern.tag) == ("closed-form", "I")
+    assert rep.penalty == pytest.approx(4.1e-17, rel=0.01)
+    assert len(svds) == 2
+    R = sf.rotate(st_construction((0.4, 0.7, 1.0), (1, -1, -1), (0.3, -0.8, 0.5)),
+                  sf.random_frame(np.random.default_rng(0)))
+    assert sf.find_st_basis(R).construction_path == "direct-eigenbasis"
+    assert len(svds) == 2

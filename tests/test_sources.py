@@ -70,6 +70,18 @@ def test_lie_algebra_rejects_constants_whose_products_overflow():
         sf.LieAlgebra4(10 * top * c)
 
 
+def test_lie_algebra_rejects_constants_whose_products_underflow():
+    c = example4_algebra(1.0, 0.5).c
+    bottom = sf.sources.MIN_STRUCTURE_CONSTANT / np.abs(c).max()
+    _, R = sf.lie_group_curvature(sf.LieAlgebra4(bottom * c))
+    assert R.scale > 0
+    with pytest.raises(JacobiViolation, match=r"too small: max \|c_ijk\| = 1\.000e-151"):
+        sf.LieAlgebra4(bottom * c / 10)
+    # the zero algebra is abelian, and its metric flat
+    _, R = sf.lie_group_curvature(sf.LieAlgebra4(np.zeros((4, 4, 4))))
+    assert not R.comp.any()
+
+
 def test_solvable_group_connection_coefficients():
     conn, _ = sf.lie_group_curvature(example_s2_1_algebra())
     g = conn.gamma

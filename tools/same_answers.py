@@ -19,10 +19,11 @@ in-process:
   document per seed scaled below the supported range (exit code 2);
 - ``check``, ``identity``, ``frame`` and ``invariants`` with ``--json -`` on
   a fixed document of each kind: Lie groups (one failing the Jacobi
-  identity), surface and space-form products (one missing its field),
-  constant curvature, raw components closed under the symmetries, gallery
-  entries with parameters and a volume, an unknown kind and a document
-  nested past the parser's recursion limit;
+  identity, one whose structure constants are so small that the curvature
+  underflows, exit code 2), surface and space-form products (one missing
+  its field), constant curvature, raw components closed under the
+  symmetries, gallery entries with parameters and a volume, an unknown kind
+  and a document nested past the parser's recursion limit;
 - ``check``, ``identity``, ``frame`` and ``invariants`` with ``--json -`` on
   a tensor whose third plane pair misses an ST frame's by 1e-6
   (``unmatched.json``), and on an exact ST tensor plus 1.2e-8 times
@@ -50,7 +51,8 @@ in-process:
   do not take;
 - ``gallery --name ... --json -`` on the points ``--all`` lacks: zero and
   Einstein tensors, forbidden pattern 4 and parameters an entry refuses
-  (exit code 2);
+  (exit code 2), among them ``example4`` at ``a = 1e-200``, whose structure
+  constants underflow;
 - the command lines argparse answers itself: no arguments, ``--version``,
   ``-h``, an unknown subcommand, each subcommand's ``-h``, an unknown flag, a
   bad float and a flag with its value missing.
@@ -95,6 +97,7 @@ GALLERY_POINTS = [
     ["example-pm-c", "--c=-2"],
     ["example4", "--a=-1", "--b=3"],
     ["example4", "--a=0"],
+    ["example4", "--a=1e-200"],
     ["example6", "--m=5"],
     ["example6", "--m=2.5"],
     ["example-s2-1"],
@@ -159,6 +162,7 @@ DOCUMENTS = {
             [1, 2, 2, 2.0], [1, 3, 3, -1.0], [1, 4, 3, 2.0], [1, 4, 4, -1.0],
         ]},
         "not-jacobi.json": {"kind": "lie_group", "c": [[1, 2, 3, 1.0], [3, 4, 1, 1.0]]},
+        "underflow.json": {"kind": "lie_group", "c": [[1, 2, 2, 1e-200], [1, 3, 3, -1e-200]]},
         "surfaces.json": {"kind": "surface_product", "c1": 1.0, "c2": -1.0},
         "surfaces-no-c2.json": {"kind": "surface_product", "c1": 1.0},
         "space-form.json": {"kind": "space_form_product", "c": -2.0},
